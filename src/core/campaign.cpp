@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/actuator.hpp"
-#include "core/sweep_client.hpp"
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "obs/tracing.hpp"
@@ -123,10 +122,6 @@ CampaignEngine::forEach(size_t count,
 CampaignResult
 CampaignEngine::run(std::vector<CampaignJob> jobs) const
 {
-    if (!opts_.serverSocket.empty())
-        return runCampaignOnServer(opts_.serverSocket, opts_,
-                                   std::move(jobs));
-
     // Whole-campaign wall time through the profiler's whitelisted
     // wall-clock zone (vlint det-wallclock); feeds only the
     // machine-dependent wallSeconds field, never the JSONL artifacts.
@@ -194,7 +189,7 @@ void
 aggregateCampaignRuns(CampaignResult &out)
 {
     // Serial aggregation in submission order: byte-identical results
-    // for any thread count (and for remote vs local execution).
+    // for any thread count.
     out.totalCycles = 0;
     out.totalCommitted = 0;
     out.totalEmergencyCycles = 0;
@@ -507,12 +502,13 @@ parseCampaignCli(int argc, char **argv)
             cli.traceCanonicalPath = takeValue("--trace-canonical");
             if (cli.traceCanonicalPath.empty())
                 fatal("--trace-canonical: missing value");
-        } else if (arg == "--server") {
-            cli.options.serverSocket = takeValue("--server");
-            if (cli.options.serverSocket.empty())
-                fatal("--server: missing value");
         } else if (arg == "--progress") {
             cli.options.progress = true;
+        } else if (arg.rfind("--", 0) == 0) {
+            // A mistyped flag must not fall through as a positional:
+            // `--jsnol out.jsonl` would otherwise exit 0 and write
+            // nothing.
+            fatal("unknown flag '%s'", argv[i]);
         } else {
             cli.positional.push_back(std::move(arg));
         }

@@ -139,19 +139,6 @@ class CampaignEngine
         /** Print a progress line as each run completes (--progress).
             Completion order is nondeterministic; artifacts are not. */
         bool progress = false;
-        /**
-         * When non-empty, run() ships the whole campaign to the sweep
-         * daemon listening on this Unix socket (via the client in
-         * core/sweep_client.hpp; daemon in svc/sweepd.hpp)
-         * instead of simulating locally, and rebuilds the result from
-         * the reply stream. The daemon keeps the trace cache,
-         * threshold solutions and persistent store resident, so a
-         * cold *client* process still gets warm-sweep latency.
-         * Results are byte-identical to a local run: seeds derive
-         * from (campaignSeed, index) and aggregation is recomputed
-         * client-side in submission order. Set by --server PATH.
-         */
-        std::string serverSocket;
     };
 
     CampaignEngine() : CampaignEngine(Options{}) {}
@@ -188,7 +175,7 @@ struct CampaignCli
     std::string eventsPath;                ///< --events FILE
     std::string tracePath;                 ///< --trace FILE (Chrome JSON)
     std::string traceCanonicalPath;        ///< --trace-canonical FILE
-    std::vector<std::string> positional;   ///< everything unrecognised
+    std::vector<std::string> positional;   ///< non-flag arguments
 };
 
 /**
@@ -197,9 +184,9 @@ struct CampaignCli
  * profiling), `--events FILE`, `--trace FILE` (Chrome trace-event
  * JSON; enables the obs::Tracer), `--trace-canonical FILE` (the
  * wall-clock-stripped canonical form; also enables the tracer),
- * `--server SOCKET` (ship the campaign to a vguard-sweepd daemon),
- * `--progress` (also `--flag=value` forms). Unknown arguments are
- * returned as positionals in order; malformed values are fatal().
+ * `--progress` (also `--flag=value` forms). Arguments that do not
+ * start with `--` are returned as positionals in order; an unknown
+ * `--` flag or a malformed value is fatal().
  * Shared by the bench binaries and examples so every sweep exposes
  * the same knobs.
  */
@@ -209,9 +196,8 @@ CampaignCli parseCampaignCli(int argc, char **argv);
  * Recompute every aggregate field of @p out (totals, min/max V, IPC
  * distribution, merged histogram/stats/profile) from out.runs in
  * submission order — byte-deterministic for any thread count. Called
- * by CampaignEngine::run and by the sweep-service client after it
- * rebuilds out.runs from the wire, so remote campaigns aggregate with
- * the exact same arithmetic as local ones.
+ * by CampaignEngine::run; public so a caller that fills out.runs
+ * itself aggregates with the exact same arithmetic.
  */
 void aggregateCampaignRuns(CampaignResult &out);
 

@@ -234,7 +234,12 @@ decodeSnapshot(const char *data, size_t size, obs::Snapshot &out)
         e.rule = static_cast<obs::MergeRule>(rule);
         e.u = r.u64();
         e.d = r.f64();
-        if (r.u8() != 0) {
+        // A histogram payload belongs to exactly the Hist kind: a Hist
+        // entry without one would be dereferenced as null downstream.
+        const bool hasHist = r.u8() != 0;
+        if (hasHist != (e.kind == obs::SnapshotEntry::Kind::Hist))
+            return false;
+        if (hasHist) {
             const double lo = r.f64();
             const double hi = r.f64();
             const uint64_t bins = r.u64();
@@ -389,12 +394,15 @@ TraceStore::load(const std::string &key)
 
     // Exact size check before touching any offset derived from the
     // header, so a corrupt count can never index past the mapping.
+    // The header sits outside the payload hash, so the checks must
+    // hold for any values: statsOff is bounded before the subtraction
+    // (a sum could wrap back onto the file size).
     const size_t ampsOff = alignUp8(kHeaderBytes + hdr.keyBytes);
     const size_t actOff = ampsOff + hdr.cycles * sizeof(double);
     const size_t statsOff =
         alignUp8(actOff + hdr.cycles * kActivityEntryBytes);
     if (hdr.keyBytes > size || hdr.cycles > size / sizeof(double) ||
-        statsOff + hdr.statsBytes != size)
+        statsOff > size || hdr.statsBytes != size - statsOff)
         return rejectUnmap("size mismatch");
 
     if (fnv1a(kFnvOffset, bytes + kHeaderBytes, size - kHeaderBytes) !=

@@ -53,8 +53,7 @@
  * directory size (default 4096, same strict parser as the cache knob).
  *
  * All raw file-descriptor and mmap syscalls in the tree are confined
- * to trace_store.cpp and the sweep-service TU (enforced by the vlint
- * `raw-io` rule).
+ * to trace_store.cpp (enforced by the vlint `raw-io` rule).
  */
 
 #ifndef VGUARD_CORE_TRACE_STORE_HPP
@@ -73,11 +72,16 @@ namespace vguard::core {
 /**
  * Serialize a stats snapshot to the store's blob format (count, then
  * per entry: name/desc, kind, merge rule, values, optional dense
- * histogram). Shared with the sweep-service wire protocol.
+ * histogram). Written as the last section of every .vgt file.
  */
 std::string encodeSnapshot(const obs::Snapshot &snap);
 
-/** Rebuild a snapshot from a blob; false on any malformed field. */
+/**
+ * Rebuild a snapshot from a blob; false on any malformed field (short
+ * read, unknown kind/rule, histogram payload on a non-Hist entry or
+ * missing from a Hist one, inconsistent histogram totals, trailing
+ * bytes). Never aborts on bad input.
+ */
 bool decodeSnapshot(const char *data, size_t size, obs::Snapshot &out);
 
 /** Process-wide persistent trace store (see file comment). */
@@ -91,7 +95,7 @@ class TraceStore
 
     /**
      * Point the store at @p root with a @p maxBytes budget (tests and
-     * the sweep daemon; normal processes configure from the
+     * bench harnesses; normal processes configure from the
      * environment at first use). Empty @p root disables the store.
      * Creates the directory when missing. Does not reset counters.
      */

@@ -117,6 +117,23 @@ TEST(CampaignCli, RejectsOutOfRangeAndGarbage)
                 ::testing::ExitedWithCode(1), "expected a number");
 }
 
+TEST(CampaignCli, RejectsUnknownFlags)
+{
+    // Regression: an unrecognised `--` flag used to fall through as a
+    // positional, so a typo like `--jsnol out.jsonl` exited 0 without
+    // writing anything, and the retired `--server PATH` would silently
+    // run locally.
+    const char *typo[] = {"prog", "--jsnol", "x"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(typo)),
+                ::testing::ExitedWithCode(1), "unknown flag '--jsnol'");
+    const char *server[] = {"prog", "--server", "x"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(server)),
+                ::testing::ExitedWithCode(1), "unknown flag '--server'");
+    const char *inlined[] = {"prog", "--server=x"};
+    EXPECT_EXIT(parseCampaignCli(2, const_cast<char **>(inlined)),
+                ::testing::ExitedWithCode(1), "unknown flag");
+}
+
 TEST(CampaignCli, AcceptsWhitespaceAndPlusSign)
 {
     // Leading whitespace and an explicit '+' remain valid (strtoull

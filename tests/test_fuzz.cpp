@@ -11,16 +11,24 @@
  *    aggressive random gating/phantom/throttle interference (the
  *    controller must never corrupt execution);
  *  - activity accounting stays consistent with the aggregate stats.
+ *
+ * Further lanes fuzz the batched PDN backend against the scalar one
+ * and the trace store's stats-blob decoder against mutated input.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "core/trace_store.hpp"
 #include "cpu/core.hpp"
 #include "isa/executor.hpp"
 #include "isa/program.hpp"
+#include "obs/metrics.hpp"
 #include "pdn/pdn_backend.hpp"
 #include "pdn/package_model.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -328,5 +336,132 @@ TEST_P(BackendFuzz, PerLaneTracesAndBlockBoundariesNeverDiverge)
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34,
                                            55, 89));
+
+// ------------------------------------- trace-store snapshot decoding
+
+/** A random stats snapshot: counters, gauges and one histogram. */
+obs::Snapshot
+randomSnapshot(Rng &rng)
+{
+    obs::Snapshot snap;
+    const unsigned counters = 1 + rng.below(4);
+    for (unsigned i = 0; i < counters; ++i)
+        snap.setCounter("cpu.c" + std::to_string(i), rng.next(),
+                        static_cast<obs::MergeRule>(rng.below(4)),
+                        "counter " + std::to_string(i));
+    snap.setGauge("pdn.g", rng.uniform(-2.0, 2.0), obs::MergeRule::Min);
+    Histogram h(0.9, 1.1, 1 + rng.below(24));
+    const unsigned samples = rng.below(200);
+    for (unsigned i = 0; i < samples; ++i)
+        h.add(rng.uniform(0.85, 1.15));
+    snap.setHist("pdn.voltage", std::move(h), "supply voltage");
+    return snap;
+}
+
+/**
+ * Offsets of every length/count field in an encodeSnapshot() blob:
+ * the entry count, each name/desc length and each histogram's bin
+ * count. Walks the layout documented beside the encoder.
+ */
+std::vector<size_t>
+lengthFieldOffsets(const std::string &blob)
+{
+    auto u64At = [&](size_t at) {
+        uint64_t v;
+        std::memcpy(&v, blob.data() + at, sizeof v);
+        return v;
+    };
+    std::vector<size_t> out{0};
+    const uint64_t count = u64At(0);
+    size_t at = 8;
+    for (uint64_t e = 0; e < count; ++e) {
+        for (int str = 0; str < 2; ++str) {
+            out.push_back(at);
+            at += 8 + u64At(at);
+        }
+        at += 1 + 1 + 8 + 8;  // kind, rule, u, d
+        if (blob[at++] != 0) {
+            at += 16;  // lo, hi
+            out.push_back(at);
+            at += 8 + 8 * u64At(at) + 24;  // bins, counts, u/o/total
+        }
+    }
+    return out;
+}
+
+/**
+ * Fuzz lane for the store's stats-blob decoder, the one decoder that
+ * reads bytes another process wrote: random truncations, byte flips
+ * and length-field overwrites of a valid blob. decodeSnapshot must
+ * reject or accept without aborting (ASan/UBSan catch any stray
+ * read), and anything it accepts must re-encode and re-decode to the
+ * same snapshot and render through the stats consumers.
+ */
+class SnapshotFuzz : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(SnapshotFuzz, MutatedBlobsRejectOrRoundTrip)
+{
+    Rng rng(GetParam() * 0x9e3779b97f4a7c15ull + 13);
+    const std::string blob = core::encodeSnapshot(randomSnapshot(rng));
+    const std::vector<size_t> lengths = lengthFieldOffsets(blob);
+    ASSERT_LT(lengths.back() + 8, blob.size());
+
+    obs::Snapshot clean;
+    ASSERT_TRUE(core::decodeSnapshot(blob.data(), blob.size(), clean));
+    EXPECT_EQ(core::encodeSnapshot(clean), blob);
+
+    const uint64_t bigLengths[] = {1,
+                                   7,
+                                   blob.size(),
+                                   blob.size() + 1,
+                                   uint64_t{1} << 32,
+                                   uint64_t{1} << 61,
+                                   ~uint64_t{0}};
+    unsigned accepted = 0;
+    for (unsigned iter = 0; iter < 300; ++iter) {
+        std::string bad = blob;
+        switch (iter % 3) {
+          case 0:
+            bad.resize(rng.below(blob.size()));
+            break;
+          case 1:
+            for (uint64_t n = 1 + rng.below(4); n > 0; --n)
+                bad[rng.below(bad.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+            break;
+          default: {
+            const size_t at = lengths[rng.below(lengths.size())];
+            const uint64_t v =
+                rng.chance(0.5)
+                    ? bigLengths[rng.below(std::size(bigLengths))]
+                    : rng.below(64);
+            std::memcpy(bad.data() + at, &v, sizeof v);
+            break;
+          }
+        }
+
+        obs::Snapshot got;
+        if (!core::decodeSnapshot(bad.data(), bad.size(), got))
+            continue;
+        ++accepted;
+        const std::string again = core::encodeSnapshot(got);
+        obs::Snapshot back;
+        ASSERT_TRUE(core::decodeSnapshot(again.data(), again.size(),
+                                         back))
+            << "iteration " << iter;
+        ASSERT_EQ(core::encodeSnapshot(back), again)
+            << "iteration " << iter;
+        EXPECT_EQ(back.json(), got.json()) << "iteration " << iter;
+        EXPECT_EQ(back.table(), got.table()) << "iteration " << iter;
+    }
+    // Flips inside names and values stay well-formed, so the
+    // round-trip branch is always exercised.
+    EXPECT_GT(accepted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzz,
+                         ::testing::Range<uint64_t>(1, 17));
 
 } // namespace

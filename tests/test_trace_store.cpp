@@ -8,8 +8,8 @@
  * recapture rather than serve bad data, concurrent writer processes
  * must never produce a torn file (tmp + atomic rename), the size
  * budget must evict oldest-mtime files with load() bumping recency,
- * and save() must refuse to rewrite a trace that is itself a store
- * view.
+ * save() must refuse to rewrite a trace that is itself a store view,
+ * and the stats-blob decoder must reject inconsistent entries.
  *
  * Labeled `campaign` so the suite runs under TSan with the rest of the
  * trace-cache/campaign concurrency tests.
@@ -36,6 +36,9 @@
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "core/voltage_sim.hpp"
+#include "obs/events.hpp"
+#include "obs/metrics.hpp"
+#include "util/stats.hpp"
 #include "workloads/spec_proxy.hpp"
 
 namespace {
@@ -247,6 +250,29 @@ TEST(TraceStoreValidation, CorruptFilesWarnAndRecapture)
     corruptTo(good.substr(0, 17));
     expectReject("short file");
 
+    // Regression: header offsets past EOF whose sum wraps back onto
+    // the file size. The header is outside the payload hash, so only
+    // the size check stands between these values and a read far past
+    // the mapping.
+    {
+        std::string bad = good;
+        const uint64_t cycles = good.size() / sizeof(double);
+        uint64_t keyBytes;
+        std::memcpy(&keyBytes, bad.data() + 16, sizeof keyBytes);
+        const uint64_t ampsOff = (64 + keyBytes + 7) & ~uint64_t{7};
+        const uint64_t statsOff =
+            (ampsOff +
+             cycles * (sizeof(double) +
+                       obs::kNumFpChannels * sizeof(uint16_t)) +
+             7) &
+            ~uint64_t{7};
+        const uint64_t statsBytes = good.size() - statsOff;  // wraps
+        std::memcpy(bad.data() + 24, &cycles, sizeof cycles);
+        std::memcpy(bad.data() + 48, &statsBytes, sizeof statsBytes);
+        corruptTo(bad);
+        expectReject("offsets past EOF");
+    }
+
     // The recapture path rewrites the file and it serves again.
     ASSERT_TRUE(ts.save(key, trace));
     std::optional<CapturedTrace> reloaded = ts.load(key);
@@ -256,6 +282,36 @@ TEST(TraceStoreValidation, CorruptFilesWarnAndRecapture)
 
     ts.configure("", 0);
     fs::remove_all(dir);
+}
+
+TEST(TraceStoreValidation, SnapshotKindMustMatchHistPayload)
+{
+    // Regression: decodeSnapshot accepted a Hist-kind entry without a
+    // histogram payload, and rendering the snapshot then dereferenced
+    // a null histogram. Blob layout: u64 count, then per entry u64 +
+    // name, u64 + desc, u8 kind, ...
+    const auto kindOffset = [](const std::string &name) {
+        return 8 + 8 + name.size() + 8;  // empty desc
+    };
+    obs::Snapshot counter;
+    counter.setCounter("cpu.cycles", 7);
+    std::string blob = encodeSnapshot(counter);
+    const size_t counterKind = kindOffset("cpu.cycles");
+    ASSERT_EQ(blob[counterKind],
+              static_cast<char>(obs::SnapshotEntry::Kind::Counter));
+    blob[counterKind] = static_cast<char>(obs::SnapshotEntry::Kind::Hist);
+    obs::Snapshot out;
+    EXPECT_FALSE(decodeSnapshot(blob.data(), blob.size(), out));
+
+    // The reverse: a counter entry carrying a histogram payload.
+    obs::Snapshot hist;
+    hist.setHist("pdn.v", Histogram(0.9, 1.1, 4));
+    blob = encodeSnapshot(hist);
+    const size_t histKind = kindOffset("pdn.v");
+    ASSERT_EQ(blob[histKind],
+              static_cast<char>(obs::SnapshotEntry::Kind::Hist));
+    blob[histKind] = static_cast<char>(obs::SnapshotEntry::Kind::Counter);
+    EXPECT_FALSE(decodeSnapshot(blob.data(), blob.size(), out));
 }
 
 // ----------------------------------------------------------- eviction

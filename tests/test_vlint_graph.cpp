@@ -346,8 +346,6 @@ TEST(VlintGraph, LayerRanksMatchTheDocumentedOrder)
     EXPECT_LT(vlint::layerRank("src/obs/x.hpp"),
               vlint::layerRank("src/core/x.hpp"));
     EXPECT_LT(vlint::layerRank("src/core/x.hpp"),
-              vlint::layerRank("src/svc/x.hpp"));
-    EXPECT_LT(vlint::layerRank("src/svc/x.hpp"),
               vlint::layerRank("tools/vlint/x.hpp"));
     EXPECT_EQ(vlint::layerRank("src/pdn/x.hpp"),
               vlint::layerRank("src/power/x.hpp"));

@@ -73,12 +73,12 @@ bool
 isDetRoot(const std::string &qual)
 {
     static const std::vector<std::string> suffixes = {
-        "CampaignEngine::run", "runCampaignOnServer"};
+        "CampaignEngine::run"};
     static const std::vector<std::string> steps = {
         "::stepShared", "::stepPerLane", "::doStepShared",
         "::doStepPerLane"};
     static const std::vector<std::string> classes = {
-        "TraceCache::", "TraceStore::", "SweepServer::"};
+        "TraceCache::", "TraceStore::"};
     for (const auto &s : suffixes)
         if (endsWithComponent(qual, s))
             return true;
@@ -143,9 +143,7 @@ layerRank(const std::string &relpath)
         return 3;
     if (startsWith(relpath, "src/core/"))
         return 4;
-    if (startsWith(relpath, "src/svc/"))
-        return 5;
-    return 6;  // tools / bench / examples / tests / unknown
+    return 5;  // tools / bench / examples / tests / unknown
 }
 
 CallGraph
@@ -243,7 +241,7 @@ linkFacts(const std::vector<FileFacts> &files,
                 if (!endsWithComponent(cand.qualName, call.name))
                     continue;
                 // Layer filter: src code never links upward into
-                // same-named helpers in svc/tools/bench/tests.
+                // same-named helpers in tools/bench/tests.
                 if (layerRank(cand.file) > callerRank)
                     continue;
                 out.push_back(idx);
@@ -606,7 +604,7 @@ ruleLayerDag(const CallGraph &g, std::vector<Finding> &out)
     static const char *layers[] = {
         "src/util", "src/linsys|src/isa",
         "src/pdn|src/power|src/cpu|src/workloads", "src/obs",
-        "src/core", "src/svc", "tools|bench|examples|tests"};
+        "src/core", "tools|bench|examples|tests"};
     for (const auto &e : g.includes) {
         if (e.toRank <= e.fromRank)
             continue;
@@ -618,7 +616,7 @@ ruleLayerDag(const CallGraph &g, std::vector<Finding> &out)
                     layers[e.fromRank] + ") includes " + e.to +
                     " (layer " + layers[e.toRank] +
                     "); dependencies must flow util < linsys < "
-                    "pdn/power/cpu < obs < core < svc < tools";
+                    "pdn/power/cpu < obs < core < tools";
         out.push_back(std::move(f));
     }
 }
