@@ -25,9 +25,6 @@ struct MulticoreSim::ChipState
     /** Cumulative (sim-lifetime) counters for registerStats. */
     std::vector<CoreStats> cumulative;
     uint64_t cumLow = 0, cumHigh = 0;
-
-    /** Emergency bounds, hoisted (constant per chip). */
-    double vLo = 0.0, vHi = 0.0;
 };
 
 MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
@@ -38,13 +35,8 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
     std::vector<pdn::LaneConfig> lanes;
     lanes.reserve(chips_.size());
     for (const ChipSpec &chip : chips_) {
+        chip.validate();
         VGUARD_CHECK(!chip.cores.empty());
-        VGUARD_CHECK(std::isfinite(chip.band) && chip.band >= 0.0);
-        VGUARD_CHECK(std::isfinite(chip.iTrim));
-        VGUARD_CHECK(std::isfinite(chip.histLo) &&
-                     std::isfinite(chip.histHi) &&
-                     chip.histLo < chip.histHi);
-        VGUARD_CHECK(chip.histBins >= 1);
         for (const CoreSlot &core : chip.cores) {
             VGUARD_CHECK(std::isfinite(core.iGate));
             VGUARD_CHECK(std::isfinite(core.iPhantom));
@@ -68,8 +60,6 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
         st->coreAmps.assign(n, 0.0);
         st->cumulative.assign(n, CoreStats{});
         const double vNom = chip.package.vNominal;
-        st->vLo = vNom * (1.0 - chip.band);
-        st->vHi = vNom * (1.0 + chip.band);
         if (chip.sensor) {
             anyClosedLoop_ = true;
             st->gateReq.assign(n, 0);
@@ -105,28 +95,6 @@ MulticoreSim::coreCurrent(const ChipSpec &chip, ChipState &st,
         return slot.iPhantom;
     const double *amps = slot.trace->ampsData();
     return amps[(cycle + slot.phaseOffset) % slot.trace->cycles()];
-}
-
-void
-MulticoreSim::accountCycle(size_t chipIdx, double v,
-                           std::vector<ChipResult> &results)
-{
-    ChipResult &res = results[chipIdx];
-    ChipState &st = *states_[chipIdx];
-    // Same bookkeeping (and branch structure) as replaySweep /
-    // VoltageSim::accountCycle's PDN-side subset — the N=1 identity
-    // rests on it.
-    res.minV = std::min(res.minV, v);
-    res.maxV = std::max(res.maxV, v);
-    res.voltageHist.add(v);
-    if (v < st.vLo) {
-        ++res.lowEmergencyCycles;
-        ++st.cumLow;
-    } else if (v > st.vHi) {
-        ++res.highEmergencyCycles;
-        ++st.cumHigh;
-    }
-    ++res.cycles;
 }
 
 void
@@ -193,20 +161,15 @@ MulticoreSim::controlCycle(size_t chipIdx, double v,
 }
 
 std::vector<ChipResult>
-MulticoreSim::run(uint64_t cycles, size_t blockCycles)
+MulticoreSim::run(uint64_t cycles)
 {
-    VGUARD_CHECK(blockCycles > 0);
     const size_t k = chips_.size();
     std::vector<ChipResult> results(k);
     for (size_t c = 0; c < k; ++c) {
-        const ChipSpec &chip = chips_[c];
-        ChipResult &res = results[c];
-        const double vNom = chip.package.vNominal;
-        res.minV = vNom;
-        res.maxV = vNom;
-        res.voltageHist =
-            Histogram(chip.histLo, chip.histHi, chip.histBins);
-        res.cores.assign(chip.cores.size(), CoreStats{});
+        // The same RailTally as replaySweep and VoltageSim: the N=1
+        // identity with runReplay rests on one band policy.
+        chips_[c].resetTally(results[c]);
+        results[c].cores.assign(chips_[c].cores.size(), CoreStats{});
     }
 
     if (!anyClosedLoop_) {
@@ -221,13 +184,13 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
         // core-by-core in core-index order from +0.0 performs the
         // exact same FP additions in the exact same order as the old
         // per-cycle sum, so results stay bit-identical.
-        std::vector<double> amps(blockCycles * k);
-        std::vector<double> volts(blockCycles * k);
-        std::vector<double> col(blockCycles);
+        std::vector<double> amps(kLaneBlockCycles * k);
+        std::vector<double> volts(kLaneBlockCycles * k);
+        std::vector<double> col(kLaneBlockCycles);
         uint64_t done = 0;
         while (done < cycles) {
             const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(blockCycles, cycles - done));
+                std::min<uint64_t>(kLaneBlockCycles, cycles - done));
             for (size_t c = 0; c < k; ++c) {
                 const ChipSpec &chip = chips_[c];
                 const ChipState &st = *states_[c];
@@ -272,7 +235,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
             }
             for (size_t cyc = 0; cyc < chunk; ++cyc)
                 for (size_t c = 0; c < k; ++c)
-                    accountCycle(c, volts[cyc * k + c], results);
+                    results[c].add(volts[cyc * k + c]);
             done += chunk;
             cycle_ += chunk;
         }
@@ -303,7 +266,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
             backend_->stepCycle(ampsPerLane.data(),
                                 voltsPerLane.data());
             for (size_t c = 0; c < k; ++c) {
-                accountCycle(c, voltsPerLane[c], results);
+                results[c].add(voltsPerLane[c]);
                 if (!states_[c]->sensors.empty())
                     controlCycle(c, voltsPerLane[c], results);
             }
@@ -315,6 +278,8 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
     for (size_t c = 0; c < k; ++c) {
         ChipResult &res = results[c];
         ChipState &st = *states_[c];
+        st.cumLow += res.lowEmergencyCycles;
+        st.cumHigh += res.highEmergencyCycles;
         double sum = 0.0, sumSq = 0.0;
         size_t n = 0;
         for (size_t i = 0; i < res.cores.size(); ++i) {
@@ -386,10 +351,10 @@ MulticoreSim::registerStats(obs::Registry &r,
 
 std::vector<ChipResult>
 runChips(const std::vector<ChipSpec> &chips, uint64_t cycles,
-         pdn::BackendKind kind, size_t blockCycles)
+         pdn::BackendKind kind)
 {
     MulticoreSim sim(chips, kind);
-    return sim.run(cycles, blockCycles);
+    return sim.run(cycles);
 }
 
 } // namespace vguard::core

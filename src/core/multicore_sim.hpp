@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/chip_governor.hpp"
+#include "core/replay_sweep.hpp"
 #include "core/sensor.hpp"
 #include "core/trace_cache.hpp"
 #include "pdn/pdn_backend.hpp"
@@ -63,15 +64,10 @@ struct CoreSlot
     double iPhantom = 0.0;  ///< draw when phantom firing [A]
 };
 
-/** One chip: a package rail plus its cores and control layers. */
-struct ChipSpec
+/** One chip: a package rail (the sweep-lane fields: package, trim,
+    band, histogram) plus its cores and control layers. */
+struct ChipSpec : SweepLane
 {
-    pdn::PackageParams package;
-    double iTrim = 0.0;    ///< regulator trim current [A]
-    double band = 0.05;    ///< emergency band (fraction of vNominal)
-    double histLo = 0.90;  ///< voltage histogram range
-    double histHi = 1.10;
-    size_t histBins = 80;
     std::vector<CoreSlot> cores;
     /**
      * Per-core bang-bang sensing; open loop when unset. Each core gets
@@ -92,16 +88,9 @@ struct CoreStats
     uint64_t gateDenials = 0;    ///< requests the governor denied
 };
 
-/** Per-chip results of one run (PDN subset mirrors SweepLaneResult). */
-struct ChipResult
+/** Per-chip results of one run: the rail tally plus control stats. */
+struct ChipResult : RailTally
 {
-    uint64_t cycles = 0;
-    double minV = 0.0;
-    double maxV = 0.0;
-    uint64_t lowEmergencyCycles = 0;
-    uint64_t highEmergencyCycles = 0;
-    Histogram voltageHist{0.90, 1.10, 80};
-
     std::vector<CoreStats> cores;
     uint64_t gateGrants = 0;   ///< granted gate requests (all cores)
     uint64_t gateDenials = 0;  ///< denied gate requests (all cores)
@@ -111,11 +100,6 @@ struct ChipResult
      * 1/N = one core absorbs everything. 1.0 when nothing gated.
      */
     double gateFairness = 1.0;
-
-    uint64_t emergencyCycles() const
-    {
-        return lowEmergencyCycles + highEmergencyCycles;
-    }
 };
 
 /** K chips stepped in lockstep through one PdnBackend. */
@@ -133,11 +117,10 @@ class MulticoreSim
 
     /**
      * Advance every chip @p cycles cycles, streaming open-loop chips
-     * in blocks of @p blockCycles; rail and control state carry
+     * in blocks of kLaneBlockCycles; rail and control state carry
      * across calls. Returns this run's per-chip results.
      */
-    std::vector<ChipResult> run(uint64_t cycles,
-                                size_t blockCycles = 256);
+    std::vector<ChipResult> run(uint64_t cycles);
 
     size_t chips() const { return chips_.size(); }
     const ChipSpec &chip(size_t i) const { return chips_[i]; }
@@ -157,8 +140,6 @@ class MulticoreSim
     /** Core i's draw this cycle given its actuation state. */
     double coreCurrent(const ChipSpec &chip, ChipState &st, size_t core,
                        uint64_t cycle) const;
-    void accountCycle(size_t chipIdx, double v,
-                      std::vector<ChipResult> &results);
     void controlCycle(size_t chipIdx, double v,
                       std::vector<ChipResult> &results);
 
@@ -175,8 +156,7 @@ class MulticoreSim
  */
 std::vector<ChipResult>
 runChips(const std::vector<ChipSpec> &chips, uint64_t cycles,
-         pdn::BackendKind kind = pdn::BackendKind::Batched,
-         size_t blockCycles = 256);
+         pdn::BackendKind kind = pdn::BackendKind::Batched);
 
 } // namespace vguard::core
 

@@ -6,9 +6,9 @@
  * The paper's impedance sweeps (Table 2's emergency counts, Fig. 10's
  * distributions) replay the same workload against many packages.
  * VoltageSim::runReplay handles one package per pass; replaySweep
- * pushes all K through a pdn::PdnBackend — batched by default, so K
- * scenarios cost roughly one trace walk — and reproduces runReplay's
- * per-cycle emergency bookkeeping exactly: for every lane, minV/maxV,
+ * pushes all K through the lane-batched pdn::PdnBackend, so K
+ * scenarios cost roughly one trace walk, and tallies every lane with
+ * the same RailTally as runReplay: for every lane, minV/maxV,
  * low/high emergency cycle counts and the voltage histogram are
  * bit-identical to a VoltageSim::runReplay of that lane's package
  * (asserted by tests/test_backend_diff.cpp).
@@ -25,6 +25,10 @@
 
 namespace vguard::core {
 
+/** Cycles per block that replaySweep and MulticoreSim stream through
+    their backend (results do not depend on it). */
+constexpr size_t kLaneBlockCycles = 256;
+
 /** One sweep scenario: package + trim + bookkeeping bounds. */
 struct SweepLane
 {
@@ -34,35 +38,32 @@ struct SweepLane
     double histLo = 0.90; ///< voltage histogram range
     double histHi = 1.10;
     size_t histBins = 80;
+
+    /**
+     * Fatal (VGUARD_CHECK) unless the lane is usable: a negative band
+     * would invert the emergency window (every cycle an emergency); a
+     * non-finite trim or an empty histogram range would reach the
+     * solver/Histogram math unchecked.
+     */
+    void validate() const;
+
+    /** Reset @p t to an empty tally of this lane's band and
+        histogram. */
+    void resetTally(RailTally &t) const;
 };
 
 /** Per-lane replay bookkeeping (the PDN-side subset of
     VoltageSimResult). */
-struct SweepLaneResult
-{
-    uint64_t cycles = 0;
-    double minV = 0.0;
-    double maxV = 0.0;
-    uint64_t lowEmergencyCycles = 0;
-    uint64_t highEmergencyCycles = 0;
-    Histogram voltageHist{0.90, 1.10, 80};
-
-    uint64_t emergencyCycles() const
-    {
-        return lowEmergencyCycles + highEmergencyCycles;
-    }
-};
+using SweepLaneResult = RailTally;
 
 /**
  * Replay the current trace @p amps[0..n) through every lane of a
- * freshly-trimmed backend of kind @p kind, streaming in blocks of
- * @p blockCycles cycles.
+ * freshly-trimmed lane-batched backend, streaming in blocks of
+ * kLaneBlockCycles cycles. Every lane is validated first.
  */
 std::vector<SweepLaneResult>
 replaySweep(const double *amps, size_t n,
-            const std::vector<SweepLane> &lanes,
-            pdn::BackendKind kind = pdn::BackendKind::Batched,
-            size_t blockCycles = 256);
+            const std::vector<SweepLane> &lanes);
 
 } // namespace vguard::core
 

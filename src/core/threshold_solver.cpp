@@ -1,16 +1,12 @@
 #include "core/threshold_solver.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
-
 #include <memory>
 
 #include "linsys/worst_case.hpp"
 #include "obs/tracing.hpp"
 #include "pdn/impulse.hpp"
 #include "pdn/pdn_backend.hpp"
-#include "pdn/pdn_sim.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::core {
@@ -18,7 +14,14 @@ namespace vguard::core {
 namespace {
 
 using pdn::PackageModel;
-using pdn::PdnSim;
+
+/** The package @p spec describes. */
+PackageModel
+designPackage(const ThresholdSpec &spec)
+{
+    return PackageModel::design(spec.f0Hz, spec.zPeakOhms, spec.rDc,
+                                spec.rDamp, spec.clockHz, spec.vNominal);
+}
 
 /** Adversarial current demand scenarios for the closed loop. */
 std::vector<std::vector<double>>
@@ -62,53 +65,6 @@ buildScenarios(const PackageModel &model, const ThresholdSpec &spec)
     return scenarios;
 }
 
-/**
- * Simulate one adversarial scenario with the ideal-actuator threshold
- * controller in the loop. Sensor readings are delayed by
- * spec.delayCycles and adversarially biased by the sensor error
- * (+error when checking the low threshold — delaying the trigger —
- * and -error for the high threshold).
- *
- * @p sim is constructed once per solve and passed in — the solver's
- * bisection probes this function hundreds of times, and re-trimming
- * resets the state to the same DC operating point a fresh PdnSim
- * would start from, so results are identical.
- */
-void
-runScenario(PdnSim &sim, const ThresholdSpec &spec,
-            const std::vector<double> &demand, double vLow, double vHigh,
-            double &vMin, double &vMax)
-{
-    const double iGate = spec.iGate >= 0.0 ? spec.iGate : spec.iMin;
-    const double iPhantom =
-        spec.iPhantom >= 0.0 ? spec.iPhantom : spec.iMax;
-    const double iTrim = spec.iTrim >= 0.0 ? spec.iTrim : iGate;
-
-    sim.trimToCurrent(iTrim);
-
-    const unsigned d = spec.delayCycles;
-    std::vector<double> delayLine(d + 1, spec.vNominal);
-    size_t head = 0;
-
-    for (double adversary : demand) {
-        // Reading seen this cycle (d cycles old).
-        const double reading = delayLine[head];
-
-        double amps = adversary;
-        if (reading + spec.sensorError < vLow)
-            amps = iGate;      // gate everything
-        else if (reading - spec.sensorError > vHigh)
-            amps = iPhantom;   // phantom-fire everything
-
-        const double v = sim.step(amps);
-        vMin = std::min(vMin, v);
-        vMax = std::max(vMax, v);
-
-        delayLine[head] = v;
-        head = head + 1 == delayLine.size() ? 0 : head + 1;
-    }
-}
-
 /** Resolved regulator trim current (the default chain of the spec). */
 double
 trimCurrent(const ThresholdSpec &spec)
@@ -118,18 +74,22 @@ trimCurrent(const ThresholdSpec &spec)
 }
 
 /**
- * Run *all* adversarial scenarios at once, one backend lane each, with
- * the same per-lane controller logic as runScenario. Scenarios have
- * unequal lengths; a finished lane keeps stepping at the trim current
- * with its output ignored, so it cannot influence vMin/vMax. Because
- * each lane's per-cycle arithmetic matches PdnSim::step exactly and
- * min/max merging is order-independent, the result is bit-identical to
- * looping runScenario over the suite (tests/test_backend_diff.cpp).
+ * Simulate every adversarial scenario with the ideal-actuator
+ * threshold controller in the loop, one backend lane each. Sensor
+ * readings are delayed by spec.delayCycles and adversarially biased by
+ * the sensor error (+error when checking the low threshold — delaying
+ * the trigger — and -error for the high threshold).
+ *
+ * Scenarios have unequal lengths; a finished lane keeps stepping at
+ * the trim current with its output ignored, so it cannot influence
+ * vMin/vMax. @p backend is built once per solve and reset here — a
+ * full state reset to the same DC point a fresh one starts from — as
+ * the solver's bisection probes this function hundreds of times.
  */
 void
-runScenariosBatched(pdn::PdnBackend &backend, const ThresholdSpec &spec,
-                    const std::vector<std::vector<double>> &scenarios,
-                    double vLow, double vHigh, double &vMin, double &vMax)
+runScenarios(pdn::PdnBackend &backend, const ThresholdSpec &spec,
+             const std::vector<std::vector<double>> &scenarios,
+             double vLow, double vHigh, double &vMin, double &vMax)
 {
     const double iGate = spec.iGate >= 0.0 ? spec.iGate : spec.iMin;
     const double iPhantom =
@@ -178,13 +138,11 @@ runScenariosBatched(pdn::PdnBackend &backend, const ThresholdSpec &spec,
     }
 }
 
-/** Backend with one lane per scenario (Batched engine only). */
+/** Lane-batched backend with one lane per scenario. */
 std::unique_ptr<pdn::PdnBackend>
 makeScenarioBackend(const PackageModel &model, const ThresholdSpec &spec,
                     size_t scenarioCount)
 {
-    if (spec.engine != pdn::BackendKind::Batched)
-        return nullptr;
     const std::vector<pdn::LaneConfig> lanes(
         scenarioCount,
         pdn::LaneConfig{model.params(), trimCurrent(spec)});
@@ -197,20 +155,18 @@ void
 closedLoopExtremes(const ThresholdSpec &spec, double vLow, double vHigh,
                    double &vMinOut, double &vMaxOut)
 {
-    const PackageModel model = PackageModel::design(
-        spec.f0Hz, spec.zPeakOhms, spec.rDc, spec.rDamp, spec.clockHz,
-        spec.vNominal);
+    const PackageModel model = designPackage(spec);
     const auto scenarios = buildScenarios(model, spec);
+    const auto backend = makeScenarioBackend(model, spec, scenarios.size());
     vMinOut = spec.vNominal;
     vMaxOut = spec.vNominal;
-    if (auto backend = makeScenarioBackend(model, spec, scenarios.size())) {
-        runScenariosBatched(*backend, spec, scenarios, vLow, vHigh,
-                            vMinOut, vMaxOut);
-        return;
-    }
-    PdnSim sim(model);
-    for (const auto &s : scenarios)
-        runScenario(sim, spec, s, vLow, vHigh, vMinOut, vMaxOut);
+    runScenarios(*backend, spec, scenarios, vLow, vHigh, vMinOut, vMaxOut);
+}
+
+std::vector<std::vector<double>>
+adversarialScenarios(const ThresholdSpec &spec)
+{
+    return buildScenarios(designPackage(spec), spec);
 }
 
 Thresholds
@@ -222,15 +178,12 @@ solveThresholds(const ThresholdSpec &spec)
         fatal("solveThresholds: peak impedance must exceed DC "
               "resistance");
 
-    const PackageModel model = PackageModel::design(
-        spec.f0Hz, spec.zPeakOhms, spec.rDc, spec.rDamp, spec.clockHz,
-        spec.vNominal);
+    const PackageModel model = designPackage(spec);
     const auto scenarios = buildScenarios(model, spec);
-    // One simulator (or batched backend) serves every probe:
-    // runScenario re-trims / runScenariosBatched resets — a full state
-    // reset to the same DC point — and the solver makes ~600 probes.
-    PdnSim sim(model);
-    auto backend = makeScenarioBackend(model, spec, scenarios.size());
+    // One backend serves every probe (runScenarios resets it); the
+    // solver makes ~600 probes.
+    const auto backend =
+        makeScenarioBackend(model, spec, scenarios.size());
 
     const double vFloor =
         spec.vNominal * (1.0 - spec.band) + spec.guardBandV;
@@ -246,13 +199,7 @@ solveThresholds(const ThresholdSpec &spec)
         probe.arg("lanes", uint64_t{scenarios.size()});
         vMin = spec.vNominal;
         vMax = spec.vNominal;
-        if (backend) {
-            runScenariosBatched(*backend, spec, scenarios, vLow, vHigh,
-                                vMin, vMax);
-            return;
-        }
-        for (const auto &s : scenarios)
-            runScenario(sim, spec, s, vLow, vHigh, vMin, vMax);
+        runScenarios(*backend, spec, scenarios, vLow, vHigh, vMin, vMax);
     };
     auto lowSafe = [&](double vLow, double vHigh) {
         double vMin, vMax;

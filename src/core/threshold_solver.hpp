@@ -20,8 +20,9 @@
 #ifndef VGUARD_CORE_THRESHOLD_SOLVER_HPP
 #define VGUARD_CORE_THRESHOLD_SOLVER_HPP
 
+#include <vector>
+
 #include "pdn/package_model.hpp"
-#include "pdn/pdn_backend.hpp"
 
 namespace vguard::core {
 
@@ -43,15 +44,6 @@ struct ThresholdSpec
     unsigned delayCycles = 0;  ///< sensor/controller loop delay
     double sensorError = 0.0;  ///< bounded reading error [V]
     double guardBandV = 0.0;   ///< extra safety margin inside the band
-
-    /**
-     * Stepping engine for the adversarial scenario suite. Batched runs
-     * all scenarios as lock-stepped lanes of one pdn::PdnBackend and
-     * is bit-identical to the sequential Scalar path (the per-lane
-     * arithmetic order matches PdnSim::step exactly and min/max
-     * merging commutes) — asserted by tests/test_backend_diff.cpp.
-     */
-    pdn::BackendKind engine = pdn::BackendKind::Batched;
 };
 
 /** Solver output. */
@@ -71,10 +63,24 @@ Thresholds solveThresholds(const ThresholdSpec &spec);
 /**
  * Worst-case voltage extremes of the *closed loop* under the given
  * thresholds (exposed for verification/tests): returns the lowest and
- * highest voltage reached across the adversarial scenario suite.
+ * highest voltage reached across the adversarial scenario suite. All
+ * scenarios step as lock-stepped lanes of one lane-batched
+ * pdn::PdnBackend; each lane's arithmetic matches PdnSim::step exactly
+ * and min/max merging commutes, so the result is bit-identical to a
+ * sequential PdnSim loop over adversarialScenarios(spec) (asserted by
+ * tests/test_backend_diff.cpp).
  */
 void closedLoopExtremes(const ThresholdSpec &spec, double vLow,
                         double vHigh, double &vMinOut, double &vMaxOut);
+
+/**
+ * The adversarial current-demand suite of @p spec's package (exposed
+ * for verification/tests): on-resonance and detuned square waves, the
+ * exact open-loop bang-bang worst inputs, and step attacks, each
+ * swinging between spec.iMin and spec.iMax.
+ */
+std::vector<std::vector<double>>
+adversarialScenarios(const ThresholdSpec &spec);
 
 } // namespace vguard::core
 

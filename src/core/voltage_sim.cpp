@@ -120,27 +120,49 @@ VoltageSim::accountCycle(
     VoltageSimResult &res, RunAccum &acc)
 {
     acc.energy += amps * cfg_.power.vdd * acc.dt;
-    res.minV = std::min(res.minV, volts);
-    res.maxV = std::max(res.maxV, volts);
-    res.voltageHist.add(volts);
-    if (volts < acc.vLoBound) {
-        ++res.lowEmergencyCycles;
-        ++emLow_;
-    } else if (volts > acc.vHiBound) {
-        ++res.highEmergencyCycles;
-        ++emHigh_;
-    }
+    res.add(volts);
     tracker_.step(cycle, volts, counts, ctrl);
+}
+
+VoltageSimResult
+VoltageSim::beginRun()
+{
+    VoltageSimResult res;
+    res.reset(vNominal_, cfg_.band, cfg_.histLo, cfg_.histHi,
+              cfg_.histBins);
+    tracker_.clear();
+    profiler_.clear();
+    return res;
+}
+
+void
+VoltageSim::finishRun(VoltageSimResult &res, const RunAccum &acc,
+                      uint64_t committed)
+{
+    tracker_.finish();
+    emLow_ += res.lowEmergencyCycles;
+    emHigh_ += res.highEmergencyCycles;
+    vMinSeen_ = std::min(vMinSeen_, res.minV);
+    vMaxSeen_ = std::max(vMaxSeen_, res.maxV);
+
+    res.committed = committed;
+    res.ipc = res.cycles
+                  ? static_cast<double>(committed) / res.cycles
+                  : 0.0;
+    res.energyJ = acc.energy;
+    res.avgPowerW =
+        res.cycles ? acc.energy / (res.cycles * acc.dt) : 0.0;
+    res.events = tracker_.log();
+    res.profile = profiler_.data();
 }
 
 void
 VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
                           VoltageSimResult &res, RunAccum &acc)
 {
-    while (acc.cycles < maxCycles && !core_.halted() &&
+    while (res.cycles < maxCycles && !core_.halted() &&
            core_.stats().committed < maxInsts) {
         const TraceSample s = step();
-        ++acc.cycles;
 
         obs::ScopedTimer t(lastProf_, obs::Phase::Events);
         obs::EmergencyTracker::ControlState ctrl;
@@ -166,7 +188,7 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
     voltsBuf_.resize(kBlockCycles);
     obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
-    while (acc.cycles < maxCycles && !core_.halted() &&
+    while (res.cycles < maxCycles && !core_.halted() &&
            core_.stats().committed < maxInsts) {
         // Gather a block of activity vectors, re-checking the loop
         // bounds before every core cycle exactly like the per-cycle
@@ -174,7 +196,7 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
         size_t n = 0;
         {
             obs::ScopedTimer t(p, obs::Phase::CpuStep);
-            while (n < kBlockCycles && acc.cycles + n < maxCycles &&
+            while (n < kBlockCycles && res.cycles + n < maxCycles &&
                    !core_.halted() &&
                    core_.stats().committed < maxInsts) {
                 avBuf_[n] = core_.cycle();
@@ -208,7 +230,6 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
                 accountCycle(cycle_, ampsBuf_[k], voltsBuf_[k], counts,
                              ctrl, res, acc);
                 ++cycle_;
-                ++acc.cycles;
                 if (capture) {
                     capture->amps.push_back(ampsBuf_[k]);
                     std::array<uint16_t, obs::kNumFpChannels> c16;
@@ -233,45 +254,23 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
     // feedback into the trace; only open-loop runs are cacheable.
     VGUARD_CHECK(!capture || !controller_);
 
-    VoltageSimResult res;
-    res.voltageHist = Histogram(cfg_.histLo, cfg_.histHi, cfg_.histBins);
-    res.minV = vNominal_;
-    res.maxV = vNominal_;
-
     // Each run() reports its own actuation counts: clear the actuator
     // counters without disturbing the control loop's physical state
     // (sensor delay line, gating commands already in flight).
     if (controller_)
         controller_->resetCounters();
 
-    // Per-run observability windows: events restart fresh; registry
-    // counters are cumulative, so diff a snapshot taken here.
-    tracker_.clear();
-    profiler_.clear();
+    // Registry counters are cumulative, so diff a snapshot taken here.
+    VoltageSimResult res = beginRun();
     const obs::Snapshot before = registry_.snapshot();
-
-    RunAccum acc;
-    acc.vLoBound = vNominal_ * (1.0 - cfg_.band);
-    acc.vHiBound = vNominal_ * (1.0 + cfg_.band);
-    acc.dt = 1.0 / cfg_.cpu.clockHz;
+    RunAccum acc{0.0, 1.0 / cfg_.cpu.clockHz};
 
     if (controller_)
         runClosedLoop(maxCycles, maxInsts, res, acc);
     else
         runOpenLoop(maxCycles, maxInsts, res, acc, capture);
 
-    tracker_.finish();
-    vMinSeen_ = std::min(vMinSeen_, res.minV);
-    vMaxSeen_ = std::max(vMaxSeen_, res.maxV);
-
-    res.cycles = acc.cycles;
-    res.committed = core_.stats().committed;
-    res.ipc = acc.cycles
-                  ? static_cast<double>(res.committed) / acc.cycles
-                  : 0.0;
-    res.energyJ = acc.energy;
-    res.avgPowerW =
-        acc.cycles ? acc.energy / (acc.cycles * acc.dt) : 0.0;
+    finishRun(res, acc, core_.stats().committed);
     if (controller_) {
         const auto &act = controller_->actuator();
         res.gatedCycles = act.gatedCycles();
@@ -280,8 +279,6 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
         res.highTriggers = act.highTriggers();
     }
     res.stats = registry_.snapshot().diff(before);
-    res.events = tracker_.log();
-    res.profile = profiler_.data();
 
     if (capture) {
         capture->committed = res.committed;
@@ -307,19 +304,9 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
     obs::TraceSpan span("replay.run", obs::TraceClass::Wall);
     span.arg("cycles", uint64_t{trace.cycles()});
 
-    VoltageSimResult res;
-    res.voltageHist = Histogram(cfg_.histLo, cfg_.histHi, cfg_.histBins);
-    res.minV = vNominal_;
-    res.maxV = vNominal_;
-
-    tracker_.clear();
-    profiler_.clear();
+    VoltageSimResult res = beginRun();
     const obs::Snapshot before = registry_.snapshot();
-
-    RunAccum acc;
-    acc.vLoBound = vNominal_ * (1.0 - cfg_.band);
-    acc.vHiBound = vNominal_ * (1.0 + cfg_.band);
-    acc.dt = 1.0 / cfg_.cpu.clockHz;
+    RunAccum acc{0.0, 1.0 / cfg_.cpu.clockHz};
 
     // vlint: allow(alloc-hot) block scratch sized once per replay
     voltsBuf_.resize(blockCycles);
@@ -353,7 +340,6 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
                              obs::EmergencyTracker::ControlState{},
                              res, acc);
                 ++cycle_;
-                ++acc.cycles;
             }
         }
         if (p)
@@ -361,18 +347,7 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
         done += n;
     }
 
-    tracker_.finish();
-    vMinSeen_ = std::min(vMinSeen_, res.minV);
-    vMaxSeen_ = std::max(vMaxSeen_, res.maxV);
-
-    res.cycles = acc.cycles;
-    res.committed = trace.committed;
-    res.ipc = acc.cycles
-                  ? static_cast<double>(res.committed) / acc.cycles
-                  : 0.0;
-    res.energyJ = acc.energy;
-    res.avgPowerW =
-        acc.cycles ? acc.energy / (acc.cycles * acc.dt) : 0.0;
+    finishRun(res, acc, trace.committed);
 
     // The live diff reports zeroed cpu.*/power.* entries (the core and
     // power model never stepped); splice the capture run's front-end
@@ -380,8 +355,6 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
     res.stats = registry_.snapshot().diff(before);
     for (const auto &e : trace.frontEnd.entries())
         res.stats.upsertEntry(e);
-    res.events = tracker_.log();
-    res.profile = profiler_.data();
     return res;
 }
 

@@ -70,23 +70,18 @@ struct VoltageSimConfig
     size_t maxEvents = 4096;
 };
 
-/** Results of a run. */
-struct VoltageSimResult
+/** Results of a run: the rail tally (cycles, minV/maxV, emergency
+    counts, voltage histogram) plus the core and controller side. */
+struct VoltageSimResult : RailTally
 {
-    uint64_t cycles = 0;
     uint64_t committed = 0;
     double ipc = 0.0;
     double energyJ = 0.0;
     double avgPowerW = 0.0;
-    double minV = 0.0;
-    double maxV = 0.0;
-    uint64_t lowEmergencyCycles = 0;
-    uint64_t highEmergencyCycles = 0;
     uint64_t gatedCycles = 0;
     uint64_t phantomCycles = 0;
     uint64_t lowTriggers = 0;
     uint64_t highTriggers = 0;
-    Histogram voltageHist{0.90, 1.10, 80};
 
     /** Per-run hierarchical stats (interval diff of the registry). */
     obs::Snapshot stats;
@@ -95,12 +90,6 @@ struct VoltageSimResult
     /** Sampled wall-clock phases (empty unless profiling enabled);
         nondeterministic — never part of deterministic artifacts. */
     obs::ProfileData profile;
-
-    uint64_t
-    emergencyCycles() const
-    {
-        return lowEmergencyCycles + highEmergencyCycles;
-    }
 
     double
     emergencyFrequency() const
@@ -175,15 +164,19 @@ class VoltageSim
     obs::Snapshot statsSnapshot() const { return registry_.snapshot(); }
 
   private:
-    /** Per-run scalar accumulators shared by the three loop bodies. */
+    /** Per-run energy accumulator shared by the three loop bodies. */
     struct RunAccum
     {
         double energy = 0.0;
-        uint64_t cycles = 0;
-        double vLoBound = 0.0;
-        double vHiBound = 0.0;
         double dt = 0.0;
     };
+
+    /** Open a run: empty result tally, fresh event/profile windows. */
+    VoltageSimResult beginRun();
+    /** Close a run: fold its tally into the cumulative counters and
+        fill the scalar result fields (before the closing snapshot). */
+    void finishRun(VoltageSimResult &res, const RunAccum &acc,
+                   uint64_t committed);
 
     /** The original per-cycle loop (controller in the loop). */
     void runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,

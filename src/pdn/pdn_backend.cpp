@@ -58,8 +58,6 @@ class ScalarPdnBackend final : public PdnBackend
         }
     }
 
-    std::string name() const override { return "scalar"; }
-
     size_t lanes() const override { return sims_.size(); }
 
     double vddSetPoint(size_t lane) const override
@@ -174,8 +172,6 @@ class BatchedPdnBackend final : public PdnBackend
 
         x_ = xTrim_;
     }
-
-    std::string name() const override { return "batched"; }
 
     size_t lanes() const override { return k_; }
 

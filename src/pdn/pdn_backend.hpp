@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "pdn/package_model.hpp"
@@ -55,8 +54,6 @@ class PdnBackend
 {
   public:
     virtual ~PdnBackend() = default;
-
-    virtual std::string name() const = 0;
 
     /** Number of scenario lanes. */
     virtual size_t lanes() const = 0;

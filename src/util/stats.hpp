@@ -1,6 +1,7 @@
 /**
  * @file
- * Streaming statistics: RunningStat (Welford) and fixed-bin Histogram.
+ * Streaming statistics: RunningStat (Welford), fixed-bin Histogram and
+ * the per-rail emergency-band RailTally.
  *
  * These are used for the voltage-distribution characterisation (Fig. 10),
  * emergency-frequency accounting (Table 2) and general simulator stats.
@@ -9,6 +10,7 @@
 #ifndef VGUARD_UTIL_STATS_HPP
 #define VGUARD_UTIL_STATS_HPP
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -121,6 +123,62 @@ class Histogram
     uint64_t underflow_ = 0;
     uint64_t overflow_ = 0;
     uint64_t total_ = 0;
+};
+
+/**
+ * Per-run emergency-band tally of one supply rail: the paper's
+ * headline accounting (Table 2 counts, Fig. 10 distributions). Every
+ * engine — VoltageSim, replaySweep, MulticoreSim — feeds its die
+ * voltages through add(), so the band policy exists exactly once:
+ * strictly below vNominal * (1 - band) counts low, else strictly above
+ * vNominal * (1 + band) counts high.
+ */
+struct RailTally
+{
+    uint64_t cycles = 0;
+    double minV = 0.0;
+    double maxV = 0.0;
+    uint64_t lowEmergencyCycles = 0;
+    uint64_t highEmergencyCycles = 0;
+    Histogram voltageHist{0.90, 1.10, 80};
+
+    /**
+     * Start an empty run of a rail at @p vNominal: zero counts, minV
+     * and maxV at @p vNominal, the band bounds from @p band and an
+     * empty histogram over [@p histLo, @p histHi) in @p histBins bins.
+     */
+    void reset(double vNominal, double band, double histLo,
+               double histHi, size_t histBins)
+    {
+        cycles = lowEmergencyCycles = highEmergencyCycles = 0;
+        minV = maxV = vNominal;
+        voltageHist = Histogram(histLo, histHi, histBins);
+        vLo_ = vNominal * (1.0 - band);
+        vHi_ = vNominal * (1.0 + band);
+    }
+
+    /** Account one cycle at die voltage @p v. */
+    // vlint: hot
+    void add(double v)
+    {
+        minV = std::min(minV, v);
+        maxV = std::max(maxV, v);
+        voltageHist.add(v);
+        if (v < vLo_)
+            ++lowEmergencyCycles;
+        else if (v > vHi_)
+            ++highEmergencyCycles;
+        ++cycles;
+    }
+
+    uint64_t emergencyCycles() const
+    {
+        return lowEmergencyCycles + highEmergencyCycles;
+    }
+
+  private:
+    double vLo_ = 0.0;  ///< emergency band bounds (set by reset)
+    double vHi_ = 0.0;
 };
 
 } // namespace vguard

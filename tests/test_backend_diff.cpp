@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -258,6 +259,70 @@ TEST(BackendDiff, StepBlockSummationOrderPinned)
 
 // ------------------------------------------------- threshold solver
 
+namespace {
+
+/**
+ * Simulate one adversarial scenario with the ideal-actuator threshold
+ * controller in the loop. Sensor readings are delayed by
+ * spec.delayCycles and adversarially biased by the sensor error
+ * (+error when checking the low threshold — delaying the trigger —
+ * and -error for the high threshold).
+ *
+ * Re-trimming resets @p sim to the same DC operating point a fresh
+ * PdnSim would start from, so one sim serves every scenario.
+ */
+void
+runScenario(PdnSim &sim, const ThresholdSpec &spec,
+            const std::vector<double> &demand, double vLow, double vHigh,
+            double &vMin, double &vMax)
+{
+    const double iGate = spec.iGate >= 0.0 ? spec.iGate : spec.iMin;
+    const double iPhantom =
+        spec.iPhantom >= 0.0 ? spec.iPhantom : spec.iMax;
+    const double iTrim = spec.iTrim >= 0.0 ? spec.iTrim : iGate;
+
+    sim.trimToCurrent(iTrim);
+
+    const unsigned d = spec.delayCycles;
+    std::vector<double> delayLine(d + 1, spec.vNominal);
+    size_t head = 0;
+
+    for (double adversary : demand) {
+        // Reading seen this cycle (d cycles old).
+        const double reading = delayLine[head];
+
+        double amps = adversary;
+        if (reading + spec.sensorError < vLow)
+            amps = iGate;      // gate everything
+        else if (reading - spec.sensorError > vHigh)
+            amps = iPhantom;   // phantom-fire everything
+
+        const double v = sim.step(amps);
+        vMin = std::min(vMin, v);
+        vMax = std::max(vMax, v);
+
+        delayLine[head] = v;
+        head = head + 1 == delayLine.size() ? 0 : head + 1;
+    }
+}
+
+/** Sequential oracle for closedLoopExtremes: one PdnSim stepping the
+    adversarial suite one scenario at a time. */
+void
+sequentialExtremes(const ThresholdSpec &spec, double vLow, double vHigh,
+                   double &vMin, double &vMax)
+{
+    PdnSim sim(PackageModel::design(spec.f0Hz, spec.zPeakOhms, spec.rDc,
+                                    spec.rDamp, spec.clockHz,
+                                    spec.vNominal));
+    vMin = spec.vNominal;
+    vMax = spec.vNominal;
+    for (const auto &demand : adversarialScenarios(spec))
+        runScenario(sim, spec, demand, vLow, vHigh, vMin, vMax);
+}
+
+} // namespace
+
 TEST(BackendDiff, ThresholdSolverBatchedMatchesScalar)
 {
     ThresholdSpec spec;
@@ -269,11 +334,8 @@ TEST(BackendDiff, ThresholdSolverBatchedMatchesScalar)
             spec.zPeakOhms = zPeak;
             spec.delayCycles = delay;
 
-            spec.engine = BackendKind::Scalar;
             double sMin, sMax;
-            closedLoopExtremes(spec, 0.96, 1.04, sMin, sMax);
-
-            spec.engine = BackendKind::Batched;
+            sequentialExtremes(spec, 0.96, 1.04, sMin, sMax);
             double bMin, bMax;
             closedLoopExtremes(spec, 0.96, 1.04, bMin, bMax);
 
@@ -282,17 +344,17 @@ TEST(BackendDiff, ThresholdSolverBatchedMatchesScalar)
         }
     }
 
-    // One full solve: identical thresholds, bit for bit.
+    // The thresholds one full solve settles on: the lane engine and
+    // the sequential oracle see the same extremes there, bit for bit.
     spec.zPeakOhms = 2e-3;
     spec.delayCycles = 1;
-    spec.engine = BackendKind::Scalar;
-    const Thresholds scalar = solveThresholds(spec);
-    spec.engine = BackendKind::Batched;
-    const Thresholds batched = solveThresholds(spec);
-    EXPECT_EQ(scalar.vLow, batched.vLow);
-    EXPECT_EQ(scalar.vHigh, batched.vHigh);
-    EXPECT_EQ(scalar.feasibleLow, batched.feasibleLow);
-    EXPECT_EQ(scalar.feasibleHigh, batched.feasibleHigh);
+    const Thresholds th = solveThresholds(spec);
+    ASSERT_TRUE(th.feasibleLow && th.feasibleHigh);
+    double sMin, sMax, bMin, bMax;
+    sequentialExtremes(spec, th.vLow, th.vHigh, sMin, sMax);
+    closedLoopExtremes(spec, th.vLow, th.vHigh, bMin, bMax);
+    EXPECT_EQ(sMin, bMin);
+    EXPECT_EQ(sMax, bMax);
 }
 
 // ------------------------------------------------- replay sweep
@@ -322,9 +384,7 @@ TEST(BackendDiff, ReplaySweepMatchesRunReplay)
                          baseCfg.histBins});
 
     const auto swept = replaySweep(trace.ampsData(), trace.cycles(),
-                                   lanes, BackendKind::Batched);
-    const auto sweptScalar = replaySweep(
-        trace.ampsData(), trace.cycles(), lanes, BackendKind::Scalar);
+                                   lanes);
 
     for (size_t i = 0; i < scales.size(); ++i) {
         RunSpec laneSpec = spec;
@@ -344,14 +404,6 @@ TEST(BackendDiff, ReplaySweepMatchesRunReplay)
             EXPECT_EQ(ref.voltageHist.count(b),
                       swept[i].voltageHist.count(b))
                 << "scale " << scales[i] << " bin " << b;
-
-        // Batched and scalar sweeps agree field for field.
-        EXPECT_EQ(swept[i].minV, sweptScalar[i].minV);
-        EXPECT_EQ(swept[i].maxV, sweptScalar[i].maxV);
-        EXPECT_EQ(swept[i].lowEmergencyCycles,
-                  sweptScalar[i].lowEmergencyCycles);
-        EXPECT_EQ(swept[i].highEmergencyCycles,
-                  sweptScalar[i].highEmergencyCycles);
     }
 }
 
@@ -479,8 +531,7 @@ TEST(BackendDiffDeathTest, ReplaySweepRejectsNegativeBand)
     std::vector<SweepLane> lanes{
         {PackageModel::design(50e6, 2e-3).params(), 5.0}};
     lanes[0].band = -0.05;
-    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes,
-                             BackendKind::Batched),
+    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes),
                  "check failed");
 }
 
@@ -490,8 +541,7 @@ TEST(BackendDiffDeathTest, ReplaySweepRejectsNonFiniteTrim)
     std::vector<SweepLane> lanes{
         {PackageModel::design(50e6, 2e-3).params(),
          std::numeric_limits<double>::quiet_NaN()}};
-    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes,
-                             BackendKind::Scalar),
+    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes),
                  "check failed");
 }
 
@@ -502,8 +552,7 @@ TEST(BackendDiffDeathTest, ReplaySweepRejectsInvertedHistogramRange)
         {PackageModel::design(50e6, 2e-3).params(), 5.0}};
     lanes[0].histLo = 1.10;
     lanes[0].histHi = 0.90;
-    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes,
-                             BackendKind::Batched),
+    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes),
                  "check failed");
 }
 
@@ -537,7 +586,7 @@ namespace {
 
 /** Deterministic JSONL for a synthetic 5-package impedance sweep. */
 std::string
-miniSweepJsonl(BackendKind kind)
+miniSweepJsonl()
 {
     const auto amps = noisyTrace(8192, 60, 42);
     const std::vector<double> zPeaks{1e-3, 1.5e-3, 2e-3, 3e-3, 4e-3};
@@ -545,8 +594,7 @@ miniSweepJsonl(BackendKind kind)
     for (const double z : zPeaks)
         lanes.push_back({PackageModel::design(50e6, z).params(), 5.0});
 
-    const auto results =
-        replaySweep(amps.data(), amps.size(), lanes, kind);
+    const auto results = replaySweep(amps.data(), amps.size(), lanes);
 
     std::string out;
     for (size_t i = 0; i < lanes.size(); ++i) {
@@ -572,8 +620,8 @@ miniSweepJsonl(BackendKind kind)
 } // namespace
 
 /**
- * The checked-in mini-sweep golden is produced by the *batched*
- * backend and must match the scalar rendering byte for byte — a
+ * The checked-in mini-sweep golden is produced by replaySweep's
+ * lane-batched backend; the committed bytes are the oracle — a
  * platform or codegen change that nudges any lane shows up as a diff
  * here. Regenerate deliberately with
  *   VGUARD_UPDATE_GOLDEN=1 ./tests/test_backend_diff \
@@ -583,10 +631,7 @@ TEST(BackendDiff, MiniImpedanceSweepGolden)
 {
     const std::string goldenPath =
         std::string(VGUARD_GOLDEN_DIR) + "/mini_impedance_sweep.jsonl";
-    const std::string batched = miniSweepJsonl(BackendKind::Batched);
-    const std::string scalar = miniSweepJsonl(BackendKind::Scalar);
-    EXPECT_EQ(batched, scalar)
-        << "batched and scalar sweeps render different bytes";
+    const std::string batched = miniSweepJsonl();
 
     if (std::getenv("VGUARD_UPDATE_GOLDEN")) {
         std::ofstream out(goldenPath, std::ios::binary);

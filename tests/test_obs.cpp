@@ -463,6 +463,27 @@ TEST(VoltageSimStats, PerRunStatsMatchResultCounters)
     }
     EXPECT_EQ(res.stats.counterValue("pdn.emergencies.episodes"),
               res.events.total());
+
+    // The cumulative emergency counters roll up per run: a second
+    // back-to-back run() and a runReplay() of a trace captured from
+    // the same config each diff to exactly their own result fields.
+    CapturedTrace trace;
+    {
+        VoltageSim capture(makeSimConfig(rs),
+                           workloads::StressmarkBuilder::build(cal.params));
+        capture.run(rs.maxCycles, ~0ull, &trace);
+    }
+    const VoltageSimResult second = sim.run(rs.maxCycles);
+    const VoltageSimResult replay = sim.runReplay(trace);
+    ASSERT_GT(replay.emergencyCycles(), 0u) << "replay must breach";
+    for (const VoltageSimResult *r : {&res, &second, &replay}) {
+        EXPECT_EQ(r->stats.counterValue("pdn.emergencies.low"),
+                  r->lowEmergencyCycles);
+        EXPECT_EQ(r->stats.counterValue("pdn.emergencies.high"),
+                  r->highEmergencyCycles);
+        EXPECT_EQ(r->stats.counterValue("pdn.emergencies.count"),
+                  r->emergencyCycles());
+    }
 }
 
 TEST(VoltageSimStats, BackToBackRunsDiffCleanly)

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "cpu/branch_pred.hpp"
 #include "cpu/cache.hpp"
 #include "linsys/worst_case.hpp"
+#include "obs/metrics.hpp"
 #include "pdn/impulse.hpp"
 #include "pdn/package_model.hpp"
 #include "pdn/pdn_backend.hpp"
@@ -459,33 +461,65 @@ TEST_P(MulticoreChip, RunsAreDeterministic)
 TEST_P(MulticoreChip, SplitRunsMatchOneLongRun)
 {
     // Property: rail and control state carry across run() calls, so
-    // run(a); run(b) accumulates exactly like one run(a + b).
+    // run(a); run(b) accumulates exactly like one run(a + b) — in the
+    // per-run results and in the cumulative registry counters. The
+    // drawn chips rarely leave the default ±5 % band, so a ±1 % pass
+    // gives the emergency counters something to roll up.
     const Draw d = draw(GetParam());
-    core::MulticoreSim whole(d.chips);
-    const auto one = whole.run(d.cycles);
+    for (const double band : {0.05, 0.01}) {
+        std::vector<core::ChipSpec> chips = d.chips;
+        for (core::ChipSpec &chip : chips)
+            chip.band = band;
 
-    core::MulticoreSim split(d.chips);
-    const uint64_t head = d.cycles / 3;
-    const auto first = split.run(head);
-    const auto second = split.run(d.cycles - head);
+        obs::Registry wholeStats, splitStats;
+        core::MulticoreSim whole(chips);
+        whole.registerStats(wholeStats, "sim");
+        const auto one = whole.run(d.cycles);
 
-    for (size_t c = 0; c < one.size(); ++c) {
-        ASSERT_EQ(one[c].cycles,
-                  first[c].cycles + second[c].cycles);
-        ASSERT_EQ(one[c].minV,
-                  std::min(first[c].minV, second[c].minV))
-            << "chip " << c;
-        ASSERT_EQ(one[c].maxV,
-                  std::max(first[c].maxV, second[c].maxV))
-            << "chip " << c;
-        ASSERT_EQ(one[c].lowEmergencyCycles,
-                  first[c].lowEmergencyCycles +
-                      second[c].lowEmergencyCycles)
-            << "chip " << c;
-        ASSERT_EQ(one[c].highEmergencyCycles,
-                  first[c].highEmergencyCycles +
-                      second[c].highEmergencyCycles)
-            << "chip " << c;
+        core::MulticoreSim split(chips);
+        split.registerStats(splitStats, "sim");
+        const uint64_t head = d.cycles / 3;
+        const auto first = split.run(head);
+        const auto second = split.run(d.cycles - head);
+
+        const obs::Snapshot wholeSnap = wholeStats.snapshot();
+        const obs::Snapshot splitSnap = splitStats.snapshot();
+        for (size_t c = 0; c < one.size(); ++c) {
+            ASSERT_EQ(one[c].cycles,
+                      first[c].cycles + second[c].cycles);
+            ASSERT_EQ(one[c].minV,
+                      std::min(first[c].minV, second[c].minV))
+                << "chip " << c;
+            ASSERT_EQ(one[c].maxV,
+                      std::max(first[c].maxV, second[c].maxV))
+                << "chip " << c;
+            ASSERT_EQ(one[c].lowEmergencyCycles,
+                      first[c].lowEmergencyCycles +
+                          second[c].lowEmergencyCycles)
+                << "chip " << c;
+            ASSERT_EQ(one[c].highEmergencyCycles,
+                      first[c].highEmergencyCycles +
+                          second[c].highEmergencyCycles)
+                << "chip " << c;
+
+            const std::string cp = "sim.chip" + std::to_string(c);
+            const std::string low = cp + ".low_emergency_cycles";
+            const std::string high = cp + ".high_emergency_cycles";
+            ASSERT_NE(splitSnap.find(low), nullptr) << low;
+            ASSERT_NE(splitSnap.find(high), nullptr) << high;
+            ASSERT_EQ(wholeSnap.counterValue(low),
+                      splitSnap.counterValue(low))
+                << low << " band " << band;
+            ASSERT_EQ(wholeSnap.counterValue(high),
+                      splitSnap.counterValue(high))
+                << high << " band " << band;
+            ASSERT_EQ(wholeSnap.counterValue(low),
+                      one[c].lowEmergencyCycles)
+                << low << " band " << band;
+            ASSERT_EQ(wholeSnap.counterValue(high),
+                      one[c].highEmergencyCycles)
+                << high << " band " << band;
+        }
     }
 }
 
