@@ -28,10 +28,7 @@ isa::Program
 pickWorkload(const char *name)
 {
     if (std::strcmp(name, "stressmark") == 0) {
-        const auto cal = workloads::StressmarkBuilder::calibrate(
-            pdn::PackageModel(referencePackage(2.0))
-                .resonantPeriodCycles(),
-            referenceMachine().cpu);
+        const auto cal = referenceStressmark();
         return workloads::StressmarkBuilder::build(cal.params);
     }
     if (std::strcmp(name, "virus") == 0)

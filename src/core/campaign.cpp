@@ -46,10 +46,11 @@ CampaignEngine::forEach(size_t count,
         return;
     }
 
-    // One deque per worker, sharded round-robin so every worker
-    // starts with a contiguous-ish slice of the submission order.
-    // Owners pop from the front; thieves steal from the back, which
-    // keeps stolen work far from what the owner touches next.
+    // One deque per worker, dealt in contiguous blocks: sweeps are
+    // benchmark-major, so one program's jobs share a worker (a capture,
+    // then replays) rather than every worker waiting on one trace's
+    // once_flag. Owners pop from the front; thieves steal from the back,
+    // which keeps stolen work far from what the owner touches next.
     struct WorkerQueue
     {
         std::mutex m;
@@ -57,7 +58,7 @@ CampaignEngine::forEach(size_t count,
     };
     std::vector<WorkerQueue> queues(nWorkers);
     for (size_t i = 0; i < count; ++i)
-        queues[i % nWorkers].q.push_back(i);
+        queues[i * nWorkers / count].q.push_back(i);
 
     std::mutex errorMutex;
     std::exception_ptr firstError;

@@ -148,6 +148,17 @@ referencePackage(double impedanceScale)
         .params();
 }
 
+workloads::StressmarkCalibration
+referenceStressmark()
+{
+    // Period first: a cold referencePackage() is not calibration time.
+    const unsigned period =
+        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles();
+    obs::TraceSpan span("workloads.calibrate");
+    return workloads::StressmarkBuilder::calibrate(period,
+                                                   referenceMachine().cpu);
+}
+
 namespace {
 
 /// Total solver invocations behind referenceThresholds() — test

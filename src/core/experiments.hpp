@@ -15,6 +15,7 @@
 #include "core/threshold_solver.hpp"
 #include "core/voltage_sim.hpp"
 #include "pdn/target_impedance.hpp"
+#include "workloads/stressmark.hpp"
 
 namespace vguard::core {
 
@@ -54,6 +55,12 @@ const pdn::TargetImpedanceResult &referenceTarget();
 
 /** Reference package at a multiple of the target impedance. */
 pdn::PackageParams referencePackage(double impedanceScale);
+
+/**
+ * Stressmark calibrated onto the 200 % reference package's resonance
+ * for the reference CPU, in a "workloads.calibrate" span. Uncached.
+ */
+workloads::StressmarkCalibration referenceStressmark();
 
 /**
  * Thresholds for the reference machine at a given impedance multiple,

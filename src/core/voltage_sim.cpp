@@ -187,6 +187,14 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
     ampsBuf_.resize(kBlockCycles);
     voltsBuf_.resize(kBlockCycles);
     obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
+    if (capture) {
+        // Reserve once instead of doubling; capped for runs whose real
+        // bound is maxInsts.
+        const size_t want = capture->amps.size() +
+                            std::min(maxCycles, uint64_t{1} << 22);
+        capture->amps.reserve(want);
+        capture->activity.reserve(want);
+    }
 
     while (res.cycles < maxCycles && !core_.halted() &&
            core_.stats().committed < maxInsts) {
@@ -243,6 +251,10 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
         }
         if (p)
             p->countBlock(n);
+    }
+    if (capture) { // a run stopped early (halt, maxInsts) keeps no slack
+        capture->amps.shrink_to_fit();
+        capture->activity.shrink_to_fit();
     }
 }
 

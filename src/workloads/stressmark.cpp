@@ -1,8 +1,11 @@
 #include "workloads/stressmark.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <thread>
 #include <vector>
 
 #include "cpu/core.hpp"
@@ -117,9 +120,6 @@ StressmarkBuilder::calibrate(unsigned targetPeriodCycles,
         fatal("StressmarkBuilder::calibrate: period %u too short",
               targetPeriodCycles);
 
-    StressmarkCalibration best;
-    double bestScore = 1e18;
-
     // The divide chain sets the low-phase length (~fpDivLat cycles per
     // dependent divt); the burst must then fill the *other* half
     // period with dense work — 8-wide, that is several ops per cycle
@@ -131,27 +131,52 @@ StressmarkBuilder::calibrate(unsigned targetPeriodCycles,
                 targetPeriodCycles / 2.0 / cfg.fpDivLat)));
     const unsigned aluGuess = 3 * targetPeriodCycles;
 
+    std::vector<StressmarkParams> grid;
     for (unsigned divChain = std::max(1u, divGuess - 1);
-         divChain <= divGuess + 1; ++divChain) {
-        for (unsigned stores = 8; stores <= 32; stores += 8) {
+         divChain <= divGuess + 1; ++divChain)
+        for (unsigned stores = 8; stores <= 32; stores += 8)
             for (unsigned alu = aluGuess / 4; alu <= 2 * aluGuess;
-                 alu += std::max(4u, aluGuess / 6)) {
-                StressmarkParams p;
-                p.divChain = divChain;
-                p.burstStores = stores;
-                p.burstAlu = alu;
-                const double period = measurePeriod(p, cfg, 40000);
-                // Period error dominates; a mild bonus rewards bigger
-                // bursts (larger dI/dt swing) among near-ties.
-                const double score =
-                    std::fabs(period - targetPeriodCycles) -
-                    0.002 * (alu + 4.0 * stores);
-                if (score < bestScore) {
-                    bestScore = score;
-                    best.params = p;
-                    best.measuredPeriodCycles = period;
-                }
-            }
+                 alu += std::max(4u, aluGuess / 6))
+                grid.push_back({divChain, stores, alu});
+
+    // Every candidate is an independent simulation: measure them on a
+    // small fan-out of threads, each writing only its own slots.
+    const size_t nWorkers = std::min<size_t>(
+        std::max(1u, std::thread::hardware_concurrency()), grid.size());
+    std::vector<double> periods(grid.size());
+    std::vector<std::exception_ptr> errors(nWorkers);
+    std::atomic<size_t> next{0};
+    auto worker = [&](size_t w) {
+        try {
+            for (size_t i; (i = next.fetch_add(1)) < grid.size();)
+                periods[i] = measurePeriod(grid[i], cfg, 40000);
+        } catch (...) {
+            errors[w] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> pool;
+    for (size_t w = 0; w < nWorkers; ++w)
+        pool.emplace_back(worker, w);
+    for (auto &t : pool)
+        t.join();
+    for (const auto &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+
+    // Serial argmin in grid order with a strict '<': the first of any
+    // tied candidates wins, exactly as a one-at-a-time scan picks it.
+    StressmarkCalibration best;
+    double bestScore = 1e18;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        // Period error dominates; a mild bonus rewards bigger bursts
+        // (larger dI/dt swing) among near-ties.
+        const double score =
+            std::fabs(periods[i] - targetPeriodCycles) -
+            0.002 * (grid[i].burstAlu + 4.0 * grid[i].burstStores);
+        if (score < bestScore) {
+            bestScore = score;
+            best.params = grid[i];
+            best.measuredPeriodCycles = periods[i];
         }
     }
 

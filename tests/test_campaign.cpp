@@ -12,9 +12,13 @@
  *   ctest --test-dir build-tsan -L campaign
  */
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -346,6 +350,31 @@ TEST(Campaign, ForEachPropagatesExceptions)
                  std::runtime_error);
 }
 
+TEST(Campaign, ForEachDealsContiguousBlocks)
+{
+    // Every job blocks until four have started, so no worker pops a
+    // second job before each of the four has popped its first, and
+    // none steals while its own queue holds work. The first four
+    // indices are then exactly the heads of the four dealt queues:
+    // blocks {0,1} {2,3} {4,5} {6,7}.
+    CampaignEngine::Options o;
+    o.threads = 4;
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<size_t> order;
+    CampaignEngine(o).forEach(8, [&](size_t i) {
+        std::unique_lock<std::mutex> lock(m);
+        order.push_back(i);
+        cv.notify_all();
+        // Bounded, so a pool with fewer workers fails instead of hanging.
+        cv.wait_for(lock, std::chrono::seconds(30),
+                    [&] { return order.size() >= 4; });
+    });
+    ASSERT_EQ(order.size(), 8u);
+    const std::set<size_t> first(order.begin(), order.begin() + 4);
+    EXPECT_EQ(first, (std::set<size_t>{0, 2, 4, 6}));
+}
+
 // --------------------------------------------- cache thread-safety smoke
 
 TEST(ThresholdCache, ConcurrentFirstCallsSolveOnce)
@@ -390,9 +419,7 @@ TEST(ThresholdCache, ConcurrentFirstCallsSolveOnce)
 CampaignResult
 miniCampaign()
 {
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     RunSpec uncontrolled;

@@ -29,7 +29,6 @@
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "core/voltage_sim.hpp"
-#include "pdn/package_model.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
 #include "workloads/stressmark.hpp"
@@ -357,9 +356,7 @@ TEST(TraceCacheGolden, MiniCampaignUnchangedWithCacheEnabled)
     TraceCache &tc = TraceCache::instance();
     tc.setEnabled(true);
 
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     RunSpec uncontrolled;

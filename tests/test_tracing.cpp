@@ -174,9 +174,7 @@ tracedMiniCampaign(int threads, double sensorError)
 std::string
 canonicalAt(int threads)
 {
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     std::vector<CampaignJob> jobs;

@@ -5,7 +5,10 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +40,71 @@ steadyMeanCurrent(const isa::Program &prog, uint64_t cycles = 30000)
         }
     }
     return n ? sum / n : 0.0;
+}
+
+/**
+ * The serial calibrator, kept verbatim as the oracle for the parallel
+ * one: one candidate at a time in grid order, strict '<' on the score.
+ */
+StressmarkCalibration
+serialCalibrate(unsigned targetPeriodCycles, const cpu::CpuConfig &cfg)
+{
+    StressmarkCalibration best;
+    double bestScore = 1e18;
+
+    // The divide chain sets the low-phase length (~fpDivLat cycles per
+    // dependent divt); the burst must then fill the *other* half
+    // period with dense work — 8-wide, that is several ops per cycle
+    // for ~period/2 cycles. Search a grid around the analytic guess,
+    // like the paper's hand tuning, preferring (a) period match and
+    // (b) the largest current swing among near-ties.
+    const unsigned divGuess = std::max(
+        1u, static_cast<unsigned>(std::lround(
+                targetPeriodCycles / 2.0 / cfg.fpDivLat)));
+    const unsigned aluGuess = 3 * targetPeriodCycles;
+
+    for (unsigned divChain = std::max(1u, divGuess - 1);
+         divChain <= divGuess + 1; ++divChain) {
+        for (unsigned stores = 8; stores <= 32; stores += 8) {
+            for (unsigned alu = aluGuess / 4; alu <= 2 * aluGuess;
+                 alu += std::max(4u, aluGuess / 6)) {
+                StressmarkParams p;
+                p.divChain = divChain;
+                p.burstStores = stores;
+                p.burstAlu = alu;
+                const double period =
+                    StressmarkBuilder::measurePeriod(p, cfg, 40000);
+                // Period error dominates; a mild bonus rewards bigger
+                // bursts (larger dI/dt swing) among near-ties.
+                const double score =
+                    std::fabs(period - targetPeriodCycles) -
+                    0.002 * (alu + 4.0 * stores);
+                if (score < bestScore) {
+                    bestScore = score;
+                    best.params = p;
+                    best.measuredPeriodCycles = period;
+                }
+            }
+        }
+    }
+
+    // Characterise the winner's current phases.
+    cpu::OoOCore core(cfg, StressmarkBuilder::build(best.params));
+    power::WattchModel power(power::PowerConfig{}, cfg);
+    std::vector<double> amps;
+    amps.reserve(60000);
+    while (core.now() < 60000 && !core.halted())
+        amps.push_back(power.current(core.cycle()));
+    std::sort(amps.begin(), amps.end());
+    const size_t q = amps.size() / 4;
+    double lo = 0.0, hi = 0.0;
+    for (size_t i = 0; i < q; ++i) {
+        lo += amps[i];
+        hi += amps[amps.size() - 1 - i];
+    }
+    best.lowPhaseCurrentA = lo / q;
+    best.highPhaseCurrentA = hi / q;
+    return best;
 }
 
 TEST(Stressmark, BuildsRunnableLoop)
@@ -89,6 +157,36 @@ TEST(Stressmark, CalibrationHitsTargetPeriod)
     EXPECT_NEAR(cal.measuredPeriodCycles, 60.0, 5.0);
     // The phases must differ substantially in current.
     EXPECT_GT(cal.highPhaseCurrentA, 1.7 * cal.lowPhaseCurrentA);
+}
+
+TEST(Stressmark, ParallelCalibrationMatchesSerialOracle)
+{
+    // 60 cycles is the reference package's resonance; 30 is the
+    // 100 MHz package of the resonance ablation.
+    cpu::CpuConfig cfg;
+    for (unsigned period : {60u, 30u}) {
+        const auto got = StressmarkBuilder::calibrate(period, cfg);
+        const auto want = serialCalibrate(period, cfg);
+        EXPECT_EQ(got.params.divChain, want.params.divChain) << period;
+        EXPECT_EQ(got.params.burstStores, want.params.burstStores)
+            << period;
+        EXPECT_EQ(got.params.burstAlu, want.params.burstAlu) << period;
+        EXPECT_EQ(got.params.iterations, want.params.iterations)
+            << period;
+        EXPECT_EQ(std::memcmp(&got.measuredPeriodCycles,
+                              &want.measuredPeriodCycles,
+                              sizeof(double)),
+                  0)
+            << period;
+        EXPECT_EQ(std::memcmp(&got.highPhaseCurrentA,
+                              &want.highPhaseCurrentA, sizeof(double)),
+                  0)
+            << period;
+        EXPECT_EQ(std::memcmp(&got.lowPhaseCurrentA,
+                              &want.lowPhaseCurrentA, sizeof(double)),
+                  0)
+            << period;
+    }
 }
 
 TEST(Stressmark, PhaseSeparationSurvivesOoO)
