@@ -32,7 +32,7 @@
 #include "core/experiments.hpp"
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
-#include "obs/profile.hpp"
+#include "obs/tracing.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "workloads/spec_proxy.hpp"

@@ -115,20 +115,6 @@ BM_CoupledVoltageSim(benchmark::State &state)
 }
 BENCHMARK(BM_CoupledVoltageSim);
 
-/** Same coupled step with phase profiling on — compare against
-    BM_CoupledVoltageSim to check the <=5 % overhead budget. */
-static void
-BM_CoupledVoltageSimProfiled(benchmark::State &state)
-{
-    RunSpec spec;
-    spec.profiling = true;
-    VoltageSim sim(makeSimConfig(spec), workloads::busyKernel());
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sim.step());
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CoupledVoltageSimProfiled);
-
 static void
 BM_ImpulseExtraction(benchmark::State &state)
 {

@@ -123,7 +123,7 @@ CampaignEngine::forEach(size_t count,
 CampaignResult
 CampaignEngine::run(std::vector<CampaignJob> jobs) const
 {
-    // Whole-campaign wall time through the profiler's whitelisted
+    // Whole-campaign wall time through the tracer's whitelisted
     // wall-clock zone (vlint det-wallclock); feeds only the
     // machine-dependent wallSeconds field, never the JSONL artifacts.
     const obs::StopWatch wall;
@@ -143,8 +143,6 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
         RunSpec spec = job.spec;
         if (opts_.deriveSeeds)
             spec.noiseSeed = deriveRunSeed(opts_.campaignSeed, i);
-        if (opts_.profiling)
-            spec.profiling = true;
         rr.spec = spec;
         {
             // Detached: which worker executes run i is scheduling;
@@ -201,7 +199,6 @@ aggregateCampaignRuns(CampaignResult &out)
     out.ipc = RunningStat{};
     out.mergedHist.reset();
     out.mergedStats = obs::Snapshot{};
-    out.profile = obs::ProfileData{};
     bool first = true;
     for (const RunResult &rr : out.runs) {
         out.totalCycles += rr.sim.cycles;
@@ -220,7 +217,6 @@ aggregateCampaignRuns(CampaignResult &out)
         out.ipc.add(rr.sim.ipc);
         out.mergedHist.merge(rr.sim.voltageHist);
         out.mergedStats.merge(rr.sim.stats);
-        out.profile.merge(rr.sim.profile);
     }
 }
 
@@ -350,8 +346,8 @@ CampaignResult::jsonl() const
 std::string
 CampaignResult::statsJson() const
 {
-    // Hand-spliced top level: the nested stats/profile sections are
-    // already rendered by their own deterministic emitters.
+    // Hand-spliced top level: the nested stats section is already
+    // rendered by its own deterministic emitter.
     JsonWriter w;
     w.beginObject();
     w.field("seed", campaignSeed);
@@ -376,14 +372,11 @@ CampaignResult::statsJson() const
     out += w.take();
     out += ",\"stats\":";
     out += mergedStats.json();
-    // Everything below this point is wall-clock derived and therefore
-    // machine/thread dependent; tooling comparing artifacts across
-    // thread counts must only look at "campaign" and "stats".
-    out += ",\"profile\":";
-    out += profile.json();
-    // Trace-cache counters live in the machine-dependent zone too:
-    // the cache persists in-process across campaigns, so hit/capture
-    // splits depend on what ran before in this process.
+    // Everything below this point is machine/thread dependent;
+    // tooling comparing artifacts across thread counts must only look
+    // at "campaign" and "stats". Trace-cache counters: the cache
+    // persists in-process across campaigns, so hit/capture splits
+    // depend on what ran before in this process.
     {
         const TraceCache &tc = TraceCache::instance();
         JsonWriter tw;
@@ -488,9 +481,6 @@ parseCampaignCli(int argc, char **argv)
             cli.statsJsonPath = takeValue("--stats-json");
             if (cli.statsJsonPath.empty())
                 fatal("--stats-json: missing value");
-            // The stats document carries the profile section, so
-            // asking for it turns phase profiling on.
-            cli.options.profiling = true;
         } else if (arg == "--events") {
             cli.eventsPath = takeValue("--events");
             if (cli.eventsPath.empty())

@@ -33,7 +33,6 @@
 #include "core/experiments.hpp"
 #include "isa/program.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "util/stats.hpp"
 
 namespace vguard::core {
@@ -82,8 +81,6 @@ struct CampaignResult
      * any thread count.
      */
     obs::Snapshot mergedStats;
-    /** Summed wall-clock phase profile (nondeterministic). */
-    obs::ProfileData profile;
 
     /** Wall-clock measurement; informational only — deliberately NOT
         part of the JSONL artifact, which must be thread-count
@@ -101,9 +98,10 @@ struct CampaignResult
 
     /**
      * The --stats-json document: {"campaign": summary, "stats":
-     * mergedStats nested by dotted group, "profile": phases,
-     * "wall_seconds": t}. Everything except "profile"/"wall_seconds"
-     * is byte-deterministic for any thread count (DESIGN.md §6).
+     * mergedStats nested by dotted group, "trace_cache": counters,
+     * "trace_store": counters, "wall_seconds": t, "threads": n}. The
+     * "campaign" and "stats" sections are byte-deterministic for any
+     * thread count; the rest is machine-dependent (DESIGN.md §6).
      */
     std::string statsJson() const;
 
@@ -131,11 +129,6 @@ class CampaignEngine
          * RunSpec::noiseSeed verbatim.
          */
         bool deriveSeeds = true;
-        /**
-         * Force RunSpec::profiling on for every job (wall-clock phase
-         * sampling; results untouched). Set by --stats-json.
-         */
-        bool profiling = false;
         /** Print a progress line as each run completes (--progress).
             Completion order is nondeterministic; artifacts are not. */
         bool progress = false;
@@ -180,13 +173,13 @@ struct CampaignCli
 
 /**
  * Parse the shared campaign flags out of argv: `--threads N`,
- * `--seed S`, `--jsonl FILE`, `--stats-json FILE` (implies
- * profiling), `--events FILE`, `--trace FILE` (Chrome trace-event
- * JSON; enables the obs::Tracer), `--trace-canonical FILE` (the
- * wall-clock-stripped canonical form; also enables the tracer),
- * `--progress` (also `--flag=value` forms). Arguments that do not
- * start with `--` are returned as positionals in order; an unknown
- * `--` flag or a malformed value is fatal().
+ * `--seed S`, `--jsonl FILE`, `--stats-json FILE`, `--events FILE`,
+ * `--trace FILE` (Chrome trace-event JSON; enables the obs::Tracer),
+ * `--trace-canonical FILE` (the wall-clock-stripped canonical form;
+ * also enables the tracer), `--progress` (also `--flag=value`
+ * forms). Arguments that do not start with `--` are returned as
+ * positionals in order; an unknown `--` flag or a malformed value is
+ * fatal().
  * Shared by the bench binaries and examples so every sweep exposes
  * the same knobs.
  */
@@ -194,7 +187,7 @@ CampaignCli parseCampaignCli(int argc, char **argv);
 
 /**
  * Recompute every aggregate field of @p out (totals, min/max V, IPC
- * distribution, merged histogram/stats/profile) from out.runs in
+ * distribution, merged histogram/stats) from out.runs in
  * submission order — byte-deterministic for any thread count. Called
  * by CampaignEngine::run; public so a caller that fills out.runs
  * itself aggregates with the exact same arithmetic.

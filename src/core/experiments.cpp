@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,14 +71,7 @@ referenceCurrentRange()
                 if (core.now() > total / 2)
                     peak = std::max(peak, amps);
                 trace.amps.push_back(amps);
-                const auto counts = obs::fpChannelCounts(av);
-                std::array<uint16_t, obs::kNumFpChannels> c16;
-                for (size_t ch = 0; ch < obs::kNumFpChannels;
-                     ++ch) {
-                    VGUARD_CHECK(counts[ch] <= 0xffffu);
-                    c16[ch] = static_cast<uint16_t>(counts[ch]);
-                }
-                trace.activity.push_back(c16);
+                trace.activity.push_back(packActivity(av));
             }
             trace.committed = core.stats().committed;
             trace.halted = core.halted();
@@ -244,7 +238,6 @@ makeSimConfig(const RunSpec &spec)
     cfg.package = referencePackage(spec.impedanceScale);
     cfg.useConvolution = spec.useConvolution;
     cfg.actuator = spec.actuator;
-    cfg.profiling = spec.profiling;
     if (spec.controllerEnabled) {
         const Thresholds &th = referenceThresholds(
             spec.impedanceScale, spec.delayCycles, spec.sensorError);
@@ -378,12 +371,23 @@ cycleBudget(uint64_t fallback)
     // Read on the main thread while parsing CLI options, before the
     // campaign pool spawns (test_core.cpp toggles it sequentially).
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char *env = std::getenv("VGUARD_CYCLES")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
+    const char *env = std::getenv("VGUARD_CYCLES");
+    if (!env)
+        return fallback;
+    // Unsigned decimal digits only, as parseTraceCacheMb: strtoull
+    // would wrap "-5" to ~2^64 cycles and read "40000x" as 40000.
+    bool ok = *env != '\0';
+    uint64_t v = 0;
+    for (const char *p = env; ok && *p; ++p) {
+        const uint64_t digit = static_cast<uint64_t>(*p - '0');
+        ok = digit <= 9 &&
+             v <= (std::numeric_limits<uint64_t>::max() - digit) / 10;
+        v = v * 10 + digit;
     }
-    return fallback;
+    if (!ok || v == 0)
+        fatal("VGUARD_CYCLES: expected a positive cycle count, got '%s'",
+              env);
+    return v;
 }
 
 } // namespace vguard::core

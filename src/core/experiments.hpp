@@ -97,12 +97,6 @@ struct RunSpec
      * share a noise stream (see campaign.hpp and EXPERIMENTS.md).
      */
     uint64_t noiseSeed = 0x5e11507;
-    /**
-     * Collect sampled wall-clock phase profiles (obs/profile). Only
-     * affects the nondeterministic profile section of --stats-json,
-     * never simulation results.
-     */
-    bool profiling = false;
 };
 
 /** Build the full VoltageSimConfig for a RunSpec. */
@@ -141,7 +135,11 @@ struct Comparison
 Comparison compareControlled(const isa::Program &program,
                              const RunSpec &spec);
 
-/** Environment-variable override for cycle budgets (VGUARD_CYCLES). */
+/**
+ * Environment-variable override for cycle budgets: VGUARD_CYCLES when
+ * set, else @p fallback. A value that is not a positive decimal
+ * integer (sign, trailing text, zero, overflow) is fatal().
+ */
 uint64_t cycleBudget(uint64_t fallback);
 
 } // namespace vguard::core

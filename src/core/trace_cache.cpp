@@ -118,6 +118,18 @@ parseTraceCacheEnabled(const std::string &text, bool &on)
     return false;
 }
 
+PackedActivity
+packActivity(const cpu::ActivityVector &av)
+{
+    const auto counts = obs::fpChannelCounts(av);
+    PackedActivity packed;
+    for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch) {
+        VGUARD_CHECK(counts[ch] <= 0xffffu);
+        packed[ch] = static_cast<uint16_t>(counts[ch]);
+    }
+    return packed;
+}
+
 size_t
 CapturedTrace::bytes() const
 {
@@ -125,7 +137,7 @@ CapturedTrace::bytes() const
     // are just as resident — charge them to the budget identically so
     // VGUARD_TRACE_CACHE_MB means the same thing warm or cold.
     size_t b = cycles() * sizeof(double);
-    b += cycles() * sizeof(std::array<uint16_t, obs::kNumFpChannels>);
+    b += cycles() * sizeof(PackedActivity);
     for (const auto &e : frontEnd.entries())
         b += sizeof(e) + e.name.size() + e.desc.size();
     return b;

@@ -16,7 +16,6 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
       tracker_(cfg.package.vNominal * (1.0 - cfg.band),
                cfg.package.vNominal * (1.0 + cfg.band),
                cfg.fingerprintWindow, cfg.maxEvents),
-      profiling_(cfg.profiling),
       vMinSeen_(cfg.package.vNominal), vMaxSeen_(cfg.package.vNominal)
 {
     // Paper regulator convention: the die sits at nominal voltage when
@@ -72,43 +71,20 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
 TraceSample
 VoltageSim::step()
 {
-    // Sampled profiling: p is nullptr on unsampled cycles (and always
-    // when profiling is off), making every ScopedTimer below trivial.
-    obs::Profiler *p =
-        profiling_ ? profiler_.beginCycle(cycle_) : nullptr;
-    lastProf_ = p;
-
-    const cpu::ActivityVector *av;
-    {
-        obs::ScopedTimer t(p, obs::Phase::CpuStep);
-        av = &core_.cycle();
-    }
-    lastAv_ = av;
-
-    double amps;
-    {
-        obs::ScopedTimer t(p, obs::Phase::Power);
-        amps = power_.current(*av);
-    }
-
-    double volts;
-    {
-        obs::ScopedTimer t(p, obs::Phase::Pdn);
-        volts = cfg_.useConvolution ? conv_->step(amps)
-                                    : pdn_.step(amps);
-    }
-
-    if (controller_) {
-        obs::ScopedTimer t(p, obs::Phase::Control);
+    const cpu::ActivityVector &av = core_.cycle();
+    lastAv_ = &av;
+    const double amps = power_.current(av);
+    const double volts =
+        cfg_.useConvolution ? conv_->step(amps) : pdn_.step(amps);
+    if (controller_)
         controller_->step(volts, core_);
-    }
 
     TraceSample s;
     s.cycle = cycle_++;
     s.amps = amps;
     s.volts = volts;
-    s.gated = av->gates.any();
-    s.phantom = av->phantom.any();
+    s.gated = av.gates.any();
+    s.phantom = av.phantom.any();
     return s;
 }
 
@@ -131,7 +107,6 @@ VoltageSim::beginRun()
     res.reset(vNominal_, cfg_.band, cfg_.histLo, cfg_.histHi,
               cfg_.histBins);
     tracker_.clear();
-    profiler_.clear();
     return res;
 }
 
@@ -153,7 +128,6 @@ VoltageSim::finishRun(VoltageSimResult &res, const RunAccum &acc,
     res.avgPowerW =
         res.cycles ? acc.energy / (res.cycles * acc.dt) : 0.0;
     res.events = tracker_.log();
-    res.profile = profiler_.data();
 }
 
 void
@@ -164,7 +138,6 @@ VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
            core_.stats().committed < maxInsts) {
         const TraceSample s = step();
 
-        obs::ScopedTimer t(lastProf_, obs::Phase::Events);
         obs::EmergencyTracker::ControlState ctrl;
         if (controller_) {
             ctrl.sensorLevel =
@@ -178,6 +151,29 @@ VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
     }
 }
 
+// vlint: hot
+void
+VoltageSim::runBlock(const double *amps, const PackedActivity *activity,
+                     size_t n,
+                     const obs::EmergencyTracker::ControlState &ctrl,
+                     VoltageSimResult &res, RunAccum &acc)
+{
+    if (cfg_.useConvolution) {
+        for (size_t k = 0; k < n; ++k)
+            voltsBuf_[k] = conv_->step(amps[k]);
+    } else {
+        pdn_.stepMany(amps, n, voltsBuf_.data());
+    }
+    for (size_t k = 0; k < n; ++k) {
+        std::array<uint32_t, obs::kNumFpChannels> counts;
+        for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch)
+            counts[ch] = activity[k][ch];
+        accountCycle(cycle_, amps[k], voltsBuf_[k], counts, ctrl, res,
+                     acc);
+        ++cycle_;
+    }
+}
+
 void
 VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
                         VoltageSimResult &res, RunAccum &acc,
@@ -185,8 +181,8 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
 {
     avBuf_.resize(kBlockCycles);
     ampsBuf_.resize(kBlockCycles);
+    packedBuf_.resize(kBlockCycles);
     voltsBuf_.resize(kBlockCycles);
-    obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
     if (capture) {
         // Reserve once instead of doubling; capped for runs whose real
         // bound is maxInsts.
@@ -202,55 +198,30 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
         // bounds before every core cycle exactly like the per-cycle
         // path (the limits may bind mid-block).
         size_t n = 0;
-        {
-            obs::ScopedTimer t(p, obs::Phase::CpuStep);
-            while (n < kBlockCycles && res.cycles + n < maxCycles &&
-                   !core_.halted() &&
-                   core_.stats().committed < maxInsts) {
-                avBuf_[n] = core_.cycle();
-                ++n;
-            }
+        while (n < kBlockCycles && res.cycles + n < maxCycles &&
+               !core_.halted() && core_.stats().committed < maxInsts) {
+            avBuf_[n] = core_.cycle();
+            ++n;
         }
         if (n == 0)
             break;
 
-        {
-            obs::ScopedTimer t(p, obs::Phase::Power);
-            power_.currentBlock(avBuf_.data(), n, ampsBuf_.data());
+        power_.currentBlock(avBuf_.data(), n, ampsBuf_.data());
+        for (size_t k = 0; k < n; ++k)
+            packedBuf_[k] = packActivity(avBuf_[k]);
+        if (capture) {
+            capture->amps.insert(capture->amps.end(), ampsBuf_.begin(),
+                                 ampsBuf_.begin() + n);
+            capture->activity.insert(capture->activity.end(),
+                                     packedBuf_.begin(),
+                                     packedBuf_.begin() + n);
         }
-        {
-            obs::ScopedTimer t(p, obs::Phase::Pdn);
-            if (cfg_.useConvolution) {
-                for (size_t k = 0; k < n; ++k)
-                    voltsBuf_[k] = conv_->step(ampsBuf_[k]);
-            } else {
-                pdn_.stepMany(ampsBuf_.data(), n, voltsBuf_.data());
-            }
-        }
-        {
-            obs::ScopedTimer t(p, obs::Phase::Events);
-            for (size_t k = 0; k < n; ++k) {
-                const cpu::ActivityVector &av = avBuf_[k];
-                const auto counts = obs::fpChannelCounts(av);
-                obs::EmergencyTracker::ControlState ctrl;
-                ctrl.gating = av.gates.any();
-                ctrl.phantom = av.phantom.any();
-                accountCycle(cycle_, ampsBuf_[k], voltsBuf_[k], counts,
-                             ctrl, res, acc);
-                ++cycle_;
-                if (capture) {
-                    capture->amps.push_back(ampsBuf_[k]);
-                    std::array<uint16_t, obs::kNumFpChannels> c16;
-                    for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch) {
-                        VGUARD_CHECK(counts[ch] <= 0xffffu);
-                        c16[ch] = static_cast<uint16_t>(counts[ch]);
-                    }
-                    capture->activity.push_back(c16);
-                }
-            }
-        }
-        if (p)
-            p->countBlock(n);
+        // No controller drives the actuator in open loop, so the
+        // core's gate/phantom state is the same for the whole block.
+        obs::EmergencyTracker::ControlState ctrl;
+        ctrl.gating = avBuf_[0].gates.any();
+        ctrl.phantom = avBuf_[0].phantom.any();
+        runBlock(ampsBuf_.data(), packedBuf_.data(), n, ctrl, res, acc);
     }
     if (capture) { // a run stopped early (halt, maxInsts) keeps no slack
         capture->amps.shrink_to_fit();
@@ -322,41 +293,14 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
 
     // vlint: allow(alloc-hot) block scratch sized once per replay
     voltsBuf_.resize(blockCycles);
-    obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
+    // Open-loop runs never gate: the default ControlState matches what
+    // the full-core path records.
     const size_t total = trace.cycles();
-    const auto *activity = trace.activityData();
-    size_t done = 0;
-    while (done < total) {
+    for (size_t done = 0; done < total; done += blockCycles) {
         const size_t n = std::min(blockCycles, total - done);
-        const double *amps = trace.ampsData() + done;
-        {
-            obs::ScopedTimer t(p, obs::Phase::Pdn);
-            if (cfg_.useConvolution) {
-                for (size_t k = 0; k < n; ++k)
-                    voltsBuf_[k] = conv_->step(amps[k]);
-            } else {
-                pdn_.stepMany(amps, n, voltsBuf_.data());
-            }
-        }
-        {
-            obs::ScopedTimer t(p, obs::Phase::Events);
-            for (size_t k = 0; k < n; ++k) {
-                std::array<uint32_t, obs::kNumFpChannels> counts;
-                const auto &c16 = activity[done + k];
-                for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch)
-                    counts[ch] = c16[ch];
-                // Open-loop runs never gate: the default ControlState
-                // matches what the full-core path records.
-                accountCycle(cycle_, amps[k], voltsBuf_[k], counts,
-                             obs::EmergencyTracker::ControlState{},
-                             res, acc);
-                ++cycle_;
-            }
-        }
-        if (p)
-            p->countBlock(n);
-        done += n;
+        runBlock(trace.ampsData() + done, trace.activityData() + done, n,
+                 obs::EmergencyTracker::ControlState{}, res, acc);
     }
 
     finishRun(res, acc, trace.committed);

@@ -8,17 +8,21 @@
  * the paper's convolution-with-impulse-response pipeline — which are
  * verified equivalent in tests.
  *
- * Two fast paths exist for runs without a controller (open loop, no
- * actuation feedback), both bit-identical to the per-cycle loop:
+ * Runs without a controller (open loop, no actuation feedback) take
+ * one batched block kernel: the PDN steps a block of amps through
+ * PdnSim::stepMany (or the convolver), then the per-cycle bookkeeping
+ * sweeps the block from packed fingerprint counts. Two paths feed it:
  *
- *  - run() automatically batches open-loop runs: activity vectors are
- *    gathered in blocks, converted to amps by WattchModel::currentBlock
- *    and to volts by PdnSim::stepMany (or the convolver), then the
- *    per-cycle bookkeeping sweeps the block. Optionally captures the
- *    current/activity trace for the cache (core/trace_cache.hpp).
- *  - runReplay() skips the core and power model entirely, driving the
- *    PDN + emergency bookkeeping from a captured trace; front-end
- *    stats are spliced in from the capture.
+ *  - run() batches open-loop runs: activity vectors are gathered in
+ *    blocks, converted to amps by WattchModel::currentBlock and packed
+ *    (packActivity), then handed to the kernel. Optionally captures
+ *    the current/activity trace for the cache (core/trace_cache.hpp).
+ *  - runReplay() skips the core and power model entirely and hands
+ *    the kernel slices of a captured trace; front-end stats are
+ *    spliced in from the capture.
+ *
+ * Replay therefore matches capture by construction: both run the same
+ * kernel over the same amps and packed counts.
  */
 
 #ifndef VGUARD_CORE_VOLTAGE_SIM_HPP
@@ -32,7 +36,6 @@
 #include "cpu/core.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "pdn/partitioned_convolver.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
@@ -62,8 +65,6 @@ struct VoltageSimConfig
     double histHi = 1.10;
     size_t histBins = 80;
 
-    /** Enable sampled wall-clock phase profiling (see obs/profile). */
-    bool profiling = false;
     /** Activity-fingerprint window per emergency event [cycles]. */
     size_t fingerprintWindow = 32;
     /** Emergency event-log capacity per run. */
@@ -87,9 +88,6 @@ struct VoltageSimResult : RailTally
     obs::Snapshot stats;
     /** Emergency episodes of this run, each with its fingerprint. */
     obs::EventLog events;
-    /** Sampled wall-clock phases (empty unless profiling enabled);
-        nondeterministic — never part of deterministic artifacts. */
-    obs::ProfileData profile;
 
     double
     emergencyFrequency() const
@@ -171,7 +169,7 @@ class VoltageSim
         double dt = 0.0;
     };
 
-    /** Open a run: empty result tally, fresh event/profile windows. */
+    /** Open a run: empty result tally, fresh event window. */
     VoltageSimResult beginRun();
     /** Close a run: fold its tally into the cumulative counters and
         fill the scalar result fields (before the closing snapshot). */
@@ -181,10 +179,19 @@ class VoltageSim
     /** The original per-cycle loop (controller in the loop). */
     void runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
                        VoltageSimResult &res, RunAccum &acc);
-    /** Batched gather → currentBlock → stepMany open-loop pipeline. */
+    /** Batched gather → currentBlock → pack → runBlock open loop. */
     void runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
                      VoltageSimResult &res, RunAccum &acc,
                      CapturedTrace *capture);
+    /**
+     * The open-loop block kernel shared by runOpenLoop and runReplay:
+     * step the PDN over @p n cycles of @p amps (state space or
+     * convolver), then account each cycle from its packed counts.
+     */
+    void runBlock(const double *amps, const PackedActivity *activity,
+                  size_t n,
+                  const obs::EmergencyTracker::ControlState &ctrl,
+                  VoltageSimResult &res, RunAccum &acc);
     /** Per-cycle bookkeeping shared by every loop body. */
     void accountCycle(uint64_t cycle, double amps, double volts,
                       const std::array<uint32_t, obs::kNumFpChannels>
@@ -205,19 +212,17 @@ class VoltageSim
     double vNominal_;
 
     // Observability: registry over all components, per-run emergency
-    // episode tracker, sampled phase profiler.
+    // episode tracker.
     obs::Registry registry_;
     obs::EmergencyTracker tracker_;
-    obs::Profiler profiler_;
-    bool profiling_ = false;
-    /** This cycle's activity / sampled-profiler handle (set by
-        step(), consumed by run()'s event tracking). */
+    /** This cycle's activity (set by step(), consumed by
+        runClosedLoop()'s event tracking). */
     const cpu::ActivityVector *lastAv_ = nullptr;
-    obs::Profiler *lastProf_ = nullptr;
 
     /** Block scratch for the batched pipelines (sized once per run). */
     std::vector<cpu::ActivityVector> avBuf_;
     std::vector<double> ampsBuf_;
+    std::vector<PackedActivity> packedBuf_;
     std::vector<double> voltsBuf_;
 
     // Cumulative (whole-sim-lifetime) counters bound into registry_;

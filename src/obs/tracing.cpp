@@ -10,9 +10,9 @@ namespace vguard::obs {
 
 namespace {
 
-/** Monotonic now() in ns (whitelisted wall-clock zone, like
-    profile.hpp: values feed only the Chrome export, never the
-    canonical form or any deterministic artifact). */
+/** Monotonic now() in ns (the whitelisted wall-clock zone: values
+    feed only the Chrome export, never the canonical form or any
+    deterministic artifact). */
 uint64_t
 nowNs()
 {

@@ -40,12 +40,18 @@
  * any number of threads; enable/disable/reset and the exports must
  * run while no other thread is recording (campaigns join their pool
  * before the artifacts are written).
+ *
+ * This header and tracing.cpp are the only files in src/ that read the
+ * wall clock (vlint det-wallclock): the tracer's timestamps and
+ * StopWatch, whose readings feed only the Chrome export, a campaign's
+ * wall_seconds and benchmark timings.
  */
 
 #ifndef VGUARD_OBS_TRACING_HPP
 #define VGUARD_OBS_TRACING_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -264,6 +270,28 @@ class TraceInstant
 
 /** Sample a counter track (no-op while the tracer is disabled). */
 void traceCounter(const char *track, double value);
+
+/**
+ * Wall-clock stopwatch for whole-campaign and benchmark timing. Its
+ * readings are machine-dependent and never enter a deterministic
+ * artifact (campaign JSONL, events, canonical trace).
+ */
+class StopWatch
+{
+  public:
+    StopWatch() : start_(std::chrono::steady_clock::now()) {}
+
+    double
+    seconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+            .count();
+    }
+
+  private:
+    std::chrono::steady_clock::time_point start_;
+};
 
 } // namespace vguard::obs
 

@@ -231,11 +231,9 @@ TEST(Campaign, StatsAndEventsThreadCountIndependent)
 {
     // The observability artifacts obey the same determinism contract
     // as the JSONL: merged stats and the campaign-wide event log are
-    // byte-identical for any thread count, with profiling enabled
-    // (profiling samples wall-clock but never touches results).
+    // byte-identical for any thread count.
     CampaignEngine::Options base;
     base.campaignSeed = 0xfeedface;
-    base.profiling = true;
 
     std::vector<CampaignResult> results;
     for (unsigned threads : {1u, 2u, 8u}) {
@@ -252,18 +250,13 @@ TEST(Campaign, StatsAndEventsThreadCountIndependent)
         EXPECT_EQ(results[r].eventsJsonl(), events0);
     }
 
-    // Profiling on vs off: the deterministic artifacts are untouched.
-    CampaignEngine::Options plain = base;
-    plain.profiling = false;
-    plain.threads = 2;
-    const CampaignResult unprofiled =
-        CampaignEngine(plain).run(mixedJobs());
-    EXPECT_EQ(unprofiled.jsonl(), results[0].jsonl());
-    EXPECT_EQ(unprofiled.mergedStats.json(), stats0);
-    EXPECT_EQ(unprofiled.eventsJsonl(), events0);
-    // ...while the profile section only exists when enabled.
-    EXPECT_TRUE(unprofiled.profile.empty());
-    EXPECT_FALSE(results[0].profile.empty());
+    // A fresh engine repeats every artifact byte for byte.
+    CampaignEngine::Options again = base;
+    again.threads = 2;
+    const CampaignResult repeat = CampaignEngine(again).run(mixedJobs());
+    EXPECT_EQ(repeat.jsonl(), results[0].jsonl());
+    EXPECT_EQ(repeat.mergedStats.json(), stats0);
+    EXPECT_EQ(repeat.eventsJsonl(), events0);
 
     // The merged aggregate agrees with the headline totals.
     EXPECT_EQ(results[0].mergedStats.counterValue(
@@ -277,12 +270,11 @@ TEST(Campaign, StatsJsonShape)
 {
     CampaignEngine::Options o;
     o.threads = 2;
-    o.profiling = true;
     const CampaignResult res = CampaignEngine(o).run(mixedJobs());
     const std::string doc = res.statsJson();
     EXPECT_NE(doc.find("\"campaign\":{"), std::string::npos);
     EXPECT_NE(doc.find("\"stats\":{"), std::string::npos);
-    EXPECT_NE(doc.find("\"profile\":{"), std::string::npos);
+    EXPECT_EQ(doc.find("\"profile\""), std::string::npos);
     EXPECT_NE(doc.find("\"wall_seconds\":"), std::string::npos);
     EXPECT_NE(doc.find("\"pdn\":{"), std::string::npos);
     EXPECT_NE(doc.find("\"emergencies\":{"), std::string::npos);
@@ -297,8 +289,6 @@ TEST(Campaign, CliParsesObservabilityFlags)
     EXPECT_EQ(cli.statsJsonPath, "s.json");
     EXPECT_EQ(cli.eventsPath, "e.jsonl");
     EXPECT_TRUE(cli.options.progress);
-    EXPECT_TRUE(cli.options.profiling) << "--stats-json implies "
-                                          "profiling";
 }
 
 TEST(Campaign, PerRunSeedsAreDerived)

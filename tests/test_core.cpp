@@ -547,6 +547,14 @@ TEST(Experiments, CycleBudgetEnv)
     EXPECT_EQ(cycleBudget(1234), 1234u);
     setenv("VGUARD_CYCLES", "777", 1);
     EXPECT_EQ(cycleBudget(1234), 777u);
+    // Sign, trailing text, non-digits and zero are diagnosed, never
+    // coerced (strtoull read "-5" as ~2^64 and "40000x" as 40000).
+    for (const char *bad : {"-5", "40000x", "abc", "0"}) {
+        setenv("VGUARD_CYCLES", bad, 1);
+        EXPECT_EXIT(cycleBudget(1234), ::testing::ExitedWithCode(1),
+                    std::string("VGUARD_CYCLES.*'") + bad + "'")
+            << bad;
+    }
     unsetenv("VGUARD_CYCLES");
 }
 

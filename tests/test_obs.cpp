@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for src/obs — the hierarchical stats registry, the emergency
- * event log with activity fingerprints, and the phase profiler —
- * plus their integration into VoltageSim (per-run stats snapshots and
+ * Tests for src/obs — the hierarchical stats registry and the
+ * emergency event log with activity fingerprints — plus their
+ * integration into VoltageSim (per-run stats snapshots and
  * event capture on an emergency-producing workload).
  */
 
@@ -16,7 +16,6 @@
 #include "core/voltage_sim.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "pdn/package_model.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/stressmark.hpp"
@@ -380,50 +379,6 @@ TEST(EmergencyEvent, JsonlHasSchemaFields)
     EXPECT_EQ(bare.find("\"run\""), std::string::npos);
 }
 
-// ------------------------------------------------------------- profile
-
-TEST(Profiler, SamplesOneInMaskCycles)
-{
-    Profiler p(2); // 1 in 4
-    unsigned sampled = 0;
-    for (uint64_t c = 0; c < 64; ++c)
-        sampled += p.beginCycle(c) != nullptr;
-    EXPECT_EQ(sampled, 16u);
-    EXPECT_EQ(p.data().cyclesTotal, 64u);
-    EXPECT_EQ(p.data().cyclesSampled, 16u);
-}
-
-TEST(Profiler, ScopedTimerRecordsOnlyWhenEnabled)
-{
-    Profiler p(0); // sample every cycle
-    {
-        ScopedTimer t(p.beginCycle(0), Phase::Pdn);
-    }
-    {
-        ScopedTimer t(nullptr, Phase::CpuStep); // disabled: no record
-    }
-    EXPECT_EQ(p.data().samples[size_t(Phase::Pdn)], 1u);
-    EXPECT_EQ(p.data().samples[size_t(Phase::CpuStep)], 0u);
-}
-
-TEST(ProfileData, MergeAddsAndJsonHasPhases)
-{
-    ProfileData a;
-    a.ns[size_t(Phase::Pdn)] = 100;
-    a.samples[size_t(Phase::Pdn)] = 2;
-    a.cyclesTotal = 10;
-    a.cyclesSampled = 2;
-    ProfileData b = a;
-    a.merge(b);
-    EXPECT_EQ(a.ns[size_t(Phase::Pdn)], 200u);
-    EXPECT_EQ(a.cyclesTotal, 20u);
-    EXPECT_FALSE(a.empty());
-    EXPECT_TRUE(ProfileData{}.empty());
-    const std::string j = a.json();
-    EXPECT_NE(j.find("\"pdn\""), std::string::npos);
-    EXPECT_NE(j.find("\"cycles_total\":20"), std::string::npos);
-}
-
 // ------------------------------------------------- sim integration
 
 TEST(VoltageSimStats, PerRunStatsMatchResultCounters)
@@ -506,24 +461,5 @@ TEST(VoltageSimStats, BackToBackRunsDiffCleanly)
               r2.committed - r1.committed);
 }
 
-TEST(VoltageSimStats, ProfilingPopulatesPhases)
-{
-    using namespace vguard::core;
-    RunSpec rs;
-    rs.controllerEnabled = false;
-    rs.maxCycles = 1000;
-    rs.profiling = true;
-    VoltageSim sim(makeSimConfig(rs), workloads::busyKernel());
-    const VoltageSimResult res = sim.run(1000);
-    EXPECT_EQ(res.profile.cyclesTotal, res.cycles);
-    EXPECT_GT(res.profile.cyclesSampled, 0u);
-    EXPECT_GT(res.profile.samples[size_t(Phase::CpuStep)], 0u);
-    EXPECT_GT(res.profile.samples[size_t(Phase::Pdn)], 0u);
-
-    // Profiling off: the profile section stays empty.
-    rs.profiling = false;
-    VoltageSim off(makeSimConfig(rs), workloads::busyKernel());
-    EXPECT_TRUE(off.run(1000).profile.empty());
-}
 
 } // namespace

@@ -91,9 +91,11 @@ TEST(VlintWallclock, FlagsSteadyClockInSrc)
     ASSERT_TRUE(hasRule(f, "det-wallclock"));
 }
 
-TEST(VlintWallclock, ProfilerHeaderIsTheWhitelistedZone)
+TEST(VlintWallclock, ProfileHeaderIsNoLongerWhitelisted)
 {
-    EXPECT_FALSE(hasRule(
+    // The tracer is the only wall-clock zone; the deleted phase
+    // profile header lost its exemption with it.
+    EXPECT_TRUE(hasRule(
         lintSource("src/obs/profile.hpp",
                    "auto t0 = std::chrono::steady_clock::now();"),
         "det-wallclock"));
@@ -102,7 +104,7 @@ TEST(VlintWallclock, ProfilerHeaderIsTheWhitelistedZone)
 TEST(VlintWallclock, TracerImplementationIsWhitelisted)
 {
     // The span tracer timestamps every record by design; both its
-    // translation units sit in the second whitelisted zone.
+    // files are the whitelisted zone.
     for (const char *file :
          {"src/obs/tracing.cpp", "src/obs/tracing.hpp"})
         EXPECT_FALSE(hasRule(
@@ -114,7 +116,7 @@ TEST(VlintWallclock, TracerImplementationIsWhitelisted)
 
 TEST(VlintWallclock, TracingWhitelistDoesNotLeakToNeighbours)
 {
-    // The whitelist is a filename prefix on tracing.*, not a blanket
+    // The whitelist names tracing.{hpp,cpp} exactly, not a blanket
     // pass for src/obs/ — a near-miss neighbour stays flagged.
     for (const char *file :
          {"src/obs/tracing_extras.cpp", "src/obs/events.cpp"})

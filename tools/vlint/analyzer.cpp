@@ -170,14 +170,13 @@ ruleDetRand(FileCtx &ctx)
 void
 ruleDetWallclock(FileCtx &ctx)
 {
-    // The profiler header and the tracer are the whitelisted
-    // wall-clock zones: their values flow only into the
-    // machine-dependent --stats-json profile section and the Chrome
-    // trace export, never into deterministic artifacts (the tracer's
-    // canonical form strips timestamps by construction).
+    // The tracer is the whitelisted wall-clock zone: its values flow
+    // only into the Chrome trace export and the machine-dependent
+    // wall_seconds/benchmark timings (StopWatch), never into
+    // deterministic artifacts (the canonical form strips timestamps
+    // by construction).
     if (!startsWith(ctx.relpath, "src/") ||
-        ctx.relpath == "src/obs/profile.hpp" ||
-        startsWith(ctx.relpath, "src/obs/tracing."))
+        wallclockWhitelisted(ctx.relpath))
         return;
     static const std::set<std::string> banned = {
         "steady_clock",  "system_clock", "high_resolution_clock",
@@ -187,10 +186,9 @@ ruleDetWallclock(FileCtx &ctx)
         if (t.kind == Tok::Ident && banned.count(t.text))
             ctx.add("det-wallclock", t.line,
                     "wall-clock read '" + t.text +
-                        "' outside src/obs/profile.hpp or "
-                        "src/obs/tracing.*; use obs::StopWatch / "
-                        "obs::ScopedTimer / obs::TraceSpan so "
-                        "timing stays in the whitelisted zones");
+                        "' outside src/obs/tracing.{hpp,cpp}; use "
+                        "obs::StopWatch / obs::TraceSpan so timing "
+                        "stays in the whitelisted zone");
     }
 }
 
@@ -762,8 +760,8 @@ ruleCatalog()
              "rand/srand/random_device/mt19937/time()/clock() outside "
              "util/rng.hpp"},
             {"det-wallclock",
-             "wall-clock reads in src/ outside src/obs/profile.hpp "
-             "and src/obs/tracing.*"},
+             "wall-clock reads in src/ outside "
+             "src/obs/tracing.{hpp,cpp}"},
             {"det-unordered",
              "unordered containers in src/{core,pdn,power,cpu}"},
             {"det-ptr-key",

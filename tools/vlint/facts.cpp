@@ -86,15 +86,6 @@ allocIdents()
     return s;
 }
 
-/** Files whose wall-clock reads are the sanctioned profiling zone. */
-bool
-wallclockWhitelisted(const std::string &relpath)
-{
-    return relpath == "src/obs/profile.hpp" ||
-           relpath == "src/obs/tracing.hpp" ||
-           relpath == "src/obs/tracing.cpp";
-}
-
 /** The RNG wrapper is the one sanctioned randomness zone. */
 bool
 randWhitelisted(const std::string &relpath)
@@ -847,6 +838,13 @@ extractFacts(const std::string &relpath, const LexedFile &lf)
     Extractor ex(relpath, lf);
     ex.run();
     return std::move(ex.facts);
+}
+
+bool
+wallclockWhitelisted(const std::string &relpath)
+{
+    return relpath == "src/obs/tracing.hpp" ||
+           relpath == "src/obs/tracing.cpp";
 }
 
 } // namespace vlint

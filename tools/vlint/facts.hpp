@@ -106,6 +106,13 @@ struct FileFacts
 /** Extract facts from one lexed file. Never fails. */
 FileFacts extractFacts(const std::string &relpath, const LexedFile &lf);
 
+/**
+ * The one sanctioned wall-clock zone of src/: the tracer
+ * (src/obs/tracing.{hpp,cpp}). Shared by the det-wallclock rule and
+ * the wall-clock hazard facts.
+ */
+bool wallclockWhitelisted(const std::string &relpath);
+
 } // namespace vlint
 
 #endif // VGUARD_TOOLS_VLINT_FACTS_HPP
