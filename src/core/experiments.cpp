@@ -33,70 +33,36 @@ referenceCurrentRange()
     // initialising thread finishes — safe for campaign workers.
     static const CurrentRange cached = [] {
         const Machine m = referenceMachine();
-        // One model serves both the analytic extremes (scratch-copy
-        // const queries) and the virus run below.
-        power::WattchModel model(m.power, m.cpu);
+        // Measure the program-reachable ceiling with a power virus
+        // (peak over the steady, I-cache-warm half of the run). The
+        // virus is an ordinary open-loop capture, so it goes through
+        // the trace cache like any other: a cold process with a warm
+        // persistent store takes the peak from the stored amps (exact
+        // doubles, so bit-identical) and captures nothing. The trace
+        // and its key do not depend on the package, so the default
+        // one serves (referencePackage() itself needs this range).
+        // The same sim's power model answers the analytic extremes.
+        VoltageSimConfig cfg;
+        cfg.cpu = m.cpu;
+        cfg.power = m.power;
+        const isa::Program virus = workloads::powerVirus();
+        const uint64_t total = 30000;
+        VoltageSim sim(cfg, virus);
+        const power::WattchModel &model = sim.powerModel();
         CurrentRange r;
         r.gatedMin = model.minCurrent();
         r.phantomMax = model.maxCurrent();
         r.progMin = model.idleCurrent();
 
-        // Measure the program-reachable ceiling with a power virus
-        // (peak over the steady, I-cache-warm half of the run). The
-        // measurement doubles as the trace cache's first entry: the
-        // loop below walks the same (program, config, limits) stream
-        // an open-loop VoltageSim::run(total) would, so the captured
-        // waveform replays byte-identically. Routed through
-        // fetchOrCapture so a cold process with a warm persistent
-        // store recomputes the peak from the mmapped amps stream
-        // instead of re-running the virus — the doubles are stored
-        // exactly, so the max over the steady half is bit-identical
-        // and a warm restart performs zero captures.
-        const isa::Program virus = workloads::powerVirus();
-        const uint64_t total = 30000;
-        double measuredPeak = -1.0;
-        const auto captureFn = [&]() -> CapturedTrace {
-            cpu::OoOCore core(m.cpu, virus);
-            obs::Registry reg;
-            core.registerStats(reg, "cpu");
-            model.registerStats(reg, "power", 1.0 / m.cpu.clockHz);
-            const obs::Snapshot before = reg.snapshot();
-            CapturedTrace trace;
-            trace.amps.reserve(total);
-            trace.activity.reserve(total);
-            double peak = 0.0;
-            while (core.now() < total && !core.halted()) {
-                const cpu::ActivityVector &av = core.cycle();
-                const double amps = model.current(av);
-                if (core.now() > total / 2)
-                    peak = std::max(peak, amps);
-                trace.amps.push_back(amps);
-                trace.activity.push_back(packActivity(av));
-            }
-            trace.committed = core.stats().committed;
-            trace.halted = core.halted();
-            trace.frontEnd =
-                frontEndSubset(reg.snapshot().diff(before));
-            measuredPeak = peak;
-            return trace;
-        };
-        const CapturedTrace *t = TraceCache::instance().fetchOrCapture(
-            traceKey(virus, m.cpu, m.power, total, ~0ull), captureFn);
-        if (!t && measuredPeak < 0.0) {
-            // Cache disabled (or the entry was dropped without the
-            // capture running here): measure directly, uncached.
-            const CapturedTrace local = captureFn();
-            (void)local;
-        }
-        double peak = measuredPeak;
-        if (peak < 0.0) {
-            // Served from cache/store without running the virus:
-            // replay the identical max over the stored steady half.
-            peak = 0.0;
-            const double *amps = t->ampsData();
-            for (size_t j = total / 2; j < t->cycles(); ++j)
-                peak = std::max(peak, amps[j]);
-        }
+        CapturedTrace spill;
+        const CapturedTrace &t = TraceCache::instance().fetchOrCapture(
+            traceKey(virus, m.cpu, m.power, total, ~0ull),
+            [&](CapturedTrace &out) { sim.run(total, ~0ull, &out); },
+            spill);
+        double peak = 0.0;
+        const double *amps = t.ampsData();
+        for (size_t j = total / 2; j < t.cycles(); ++j)
+            peak = std::max(peak, amps[j]);
         r.progMax = peak;
         if (r.progMax <= r.progMin)
             panic("referenceCurrentRange: power virus failed (%.1f A)",
@@ -256,37 +222,32 @@ VoltageSimResult
 runWorkload(const isa::Program &program, const RunSpec &spec)
 {
     const VoltageSimConfig cfg = makeSimConfig(spec);
-    TraceCache &tc = TraceCache::instance();
 
     // Closed-loop runs need the real core (actuation feedback); they
     // always take the full coupled path.
-    if (cfg.sensor || !tc.enabled()) {
+    if (cfg.sensor) {
         VoltageSim sim(cfg, program);
         return sim.run(spec.maxCycles, spec.maxInsts);
     }
 
-    // Open loop: first call per key runs the full sim once (capturing
-    // the trace and returning its own result); every later call —
-    // other packages in a sweep, other noise seeds, baseline legs —
-    // replays the trace against its own PDN, byte-identically.
-    const std::string key = traceKey(program, cfg.cpu, cfg.power,
-                                     spec.maxCycles, spec.maxInsts);
+    // Open loop: the call that captures keeps its own full-core
+    // result; every other call — other packages in a sweep, other
+    // noise seeds, baseline legs — replays the trace against its own
+    // PDN, byte-identically.
     std::optional<VoltageSimResult> mine;
-    const CapturedTrace *trace = tc.fetchOrCapture(key, [&] {
-        CapturedTrace t;
-        VoltageSim sim(cfg, program);
-        mine = sim.run(spec.maxCycles, spec.maxInsts, &t);
-        return t;
-    });
+    CapturedTrace spill;
+    const CapturedTrace &trace = TraceCache::instance().fetchOrCapture(
+        traceKey(program, cfg.cpu, cfg.power, spec.maxCycles,
+                 spec.maxInsts),
+        [&](CapturedTrace &out) {
+            VoltageSim sim(cfg, program);
+            mine = sim.run(spec.maxCycles, spec.maxInsts, &out);
+        },
+        spill);
     if (mine)
         return std::move(*mine);
-    if (!trace) {
-        // Cache over budget: nothing retained to replay from.
-        VoltageSim sim(cfg, program);
-        return sim.run(spec.maxCycles, spec.maxInsts);
-    }
     VoltageSim sim(cfg, program);
-    return sim.runReplay(*trace);
+    return sim.runReplay(trace);
 }
 
 const CapturedTrace &
@@ -295,36 +256,14 @@ fetchTrace(const isa::Program &program, const RunSpec &spec,
 {
     const VoltageSimConfig cfg = makeSimConfig(spec);
     VGUARD_CHECK(!cfg.sensor);
-
-    auto capture = [&]() -> CapturedTrace {
-        CapturedTrace t;
-        VoltageSim sim(cfg, program);
-        sim.run(spec.maxCycles, spec.maxInsts, &t);
-        return t;
-    };
-
-    TraceCache &tc = TraceCache::instance();
-    if (!tc.enabled()) {
-        fallback = capture();
-        return fallback;
-    }
-    const std::string key = traceKey(program, cfg.cpu, cfg.power,
-                                     spec.maxCycles, spec.maxInsts);
-    bool captured = false;
-    const CapturedTrace *trace = tc.fetchOrCapture(key, [&] {
-        CapturedTrace t = capture();
-        fallback = t;
-        captured = true;
-        return t;
-    });
-    if (captured)
-        return fallback;
-    if (!trace) {
-        // Cache over budget for a non-capturing caller.
-        fallback = capture();
-        return fallback;
-    }
-    return *trace;
+    return TraceCache::instance().fetchOrCapture(
+        traceKey(program, cfg.cpu, cfg.power, spec.maxCycles,
+                 spec.maxInsts),
+        [&](CapturedTrace &out) {
+            VoltageSim(cfg, program).run(spec.maxCycles, spec.maxInsts,
+                                         &out);
+        },
+        fallback);
 }
 
 Comparison

@@ -108,12 +108,13 @@ VoltageSimResult runWorkload(const isa::Program &program,
 
 /**
  * Captured open-loop current trace for (program, spec) — the feed for
- * multi-package replay sweeps (core/replay_sweep.hpp). Served from the
- * trace cache when possible (one capture amortises across the whole
- * sweep, and across runWorkload calls with the same key); captured
- * into @p fallback — which must outlive the returned reference — when
- * the cache is disabled or over budget. @p spec must be open-loop
- * (controllerEnabled == false).
+ * multi-package replay sweeps (core/replay_sweep.hpp). One
+ * TraceCache::fetchOrCapture call: the cached trace when there is one
+ * (one capture amortises across the whole sweep, and across
+ * runWorkload calls with the same key), else a trace held in
+ * @p fallback — cache disabled or trace over budget — which must
+ * therefore outlive the returned reference. Never copies a trace.
+ * @p spec must be open-loop (controllerEnabled == false).
  */
 const CapturedTrace &fetchTrace(const isa::Program &program,
                                 const RunSpec &spec,

@@ -258,18 +258,25 @@ TraceCache::entryFor(const std::string &key)
     return slot.get();
 }
 
-const CapturedTrace *
+const CapturedTrace &
 TraceCache::fetchOrCapture(const std::string &key,
-                           const CaptureFn &capture)
+                           const CaptureFn &capture, CapturedTrace &spill)
 {
+    const auto uncached = [&]() -> const CapturedTrace & {
+        spill = CapturedTrace{};
+        capture(spill);
+        return spill;
+    };
     if (!enabled())
-        return nullptr;
+        return uncached();
     Entry *e = entryFor(key);
+    bool ranOnce = false;
     bool captured = false;
     // The expensive capture runs outside the map mutex: concurrent
     // first calls on *this* key serialize on the once_flag; other keys
     // capture in parallel (referenceThresholds() pattern).
     std::call_once(e->once, [&] {
+        ranOnce = true;
         // A persistent-store hit replaces the whole capture: the
         // caller's `captured` stays false, so this process accounts it
         // as a plain hit — exactly the cold-process acceptance shape
@@ -277,7 +284,7 @@ TraceCache::fetchOrCapture(const std::string &key,
         if (std::optional<CapturedTrace> stored =
                 TraceStore::instance().load(key)) {
             e->trace = std::move(*stored);
-            retain(e);
+            retain(e, spill);
             return;
         }
         captured = true;
@@ -289,12 +296,12 @@ TraceCache::fetchOrCapture(const std::string &key,
             // root, not a child of that worker's run span.
             obs::TraceSpan span("trace_cache.capture",
                                obs::TraceClass::Det, true);
-            e->trace = capture();
+            capture(e->trace);
             span.arg("cycles", uint64_t{e->trace.amps.size()})
                 .arg("bytes", uint64_t{e->trace.bytes()});
         }
         TraceStore::instance().save(key, e->trace);
-        retain(e);
+        retain(e, spill);
     });
     if (!captured) {
         hits_.fetch_add(1, std::memory_order_relaxed);
@@ -307,11 +314,15 @@ TraceCache::fetchOrCapture(const std::string &key,
     }
     // e->retained/e->trace are written only inside call_once, which
     // synchronizes-with every return from call_once on this flag.
-    return e->retained ? &e->trace : nullptr;
+    if (e->retained)
+        return e->trace;
+    // Dropped by the budget: the thread that made the trace holds it
+    // in spill; any other caller has nothing to serve and captures.
+    return ranOnce ? spill : uncached();
 }
 
 void
-TraceCache::retain(Entry *e)
+TraceCache::retain(Entry *e, CapturedTrace &spill)
 {
     const size_t sz = e->trace.bytes();
     size_t resident;
@@ -322,15 +333,16 @@ TraceCache::retain(Entry *e)
             bytes_ += sz;
             ++retained_;
             e->retained = true;
-        } else {
-            // Over budget: drop the trace but keep the (tiny) entry so
-            // the key is never captured (or re-loaded) twice.
-            e->trace = CapturedTrace{};
         }
         resident = bytes_;
         kept = e->retained;
     }
     if (!kept) {
+        // Over budget: hand the trace to the caller that made it but
+        // keep the (tiny) entry so the key is never captured (or
+        // re-loaded) twice.
+        spill = std::move(e->trace);
+        e->trace = CapturedTrace{};
         evicts_.fetch_add(1, std::memory_order_relaxed);
         obs::TraceInstant("trace_cache.evict").arg("bytes", uint64_t{sz});
     }

@@ -172,20 +172,25 @@ class TraceCache
   public:
     static TraceCache &instance();
 
-    using CaptureFn = std::function<CapturedTrace()>;
+    /** Runs one open-loop capture into an empty trace. */
+    using CaptureFn = std::function<void(CapturedTrace &)>;
 
     /**
-     * Return the trace cached under @p key, running @p capture under
-     * the key's once_flag when absent (concurrent first calls on one
-     * key run it exactly once; the others block, then replay).
-     * Returns nullptr when the cache is disabled, or when the capture
-     * exceeded the byte budget and the caller was not the capturing
-     * thread (the capturer still learns its own result; see
-     * runWorkload in experiments.cpp).
+     * The trace for @p key, always usable. When the key is absent,
+     * @p capture runs once under the key's once_flag (concurrent
+     * first calls on one key run it exactly once; the others block,
+     * then share the entry) or the persistent store serves it.
+     *
+     * When the cache is disabled, or the trace blew the byte budget,
+     * the result lives in @p spill instead, which therefore must
+     * outlive the returned reference: the thread that captured (or
+     * loaded) an over-budget trace moves it there, and any other
+     * caller runs @p capture into @p spill. Those uncached captures
+     * do not count in captures().
      */
-    const CapturedTrace *fetchOrCapture(const std::string &key,
-                                        const CaptureFn &capture);
-
+    const CapturedTrace &fetchOrCapture(const std::string &key,
+                                        const CaptureFn &capture,
+                                        CapturedTrace &spill);
 
     bool enabled() const;
     /** Tests/benches toggle the cache to compare against full runs. */
@@ -227,8 +232,11 @@ class TraceCache
     };
 
     Entry *entryFor(const std::string &key);
-    /** Charge e->trace to the byte budget; drop it when over. */
-    void retain(Entry *e);
+    /**
+     * Charge e->trace to the byte budget; when over, move it into
+     * @p spill instead.
+     */
+    void retain(Entry *e, CapturedTrace &spill);
 
     mutable std::mutex m_;
     std::map<std::string, std::unique_ptr<Entry>> map_;

@@ -226,24 +226,12 @@ DiscreteStateSpaceN::zoh(const StateSpaceN &sys, double dt)
 
     DiscreteStateSpaceN out;
     out.ad_ = expm(sys.a * dt);
-    // Bd = A^-1 (Ad - I) B; fall back to a series if A is singular.
-    MatN factor(n);
-    const double det_proxy = sys.a.maxAbs();
-    bool invertible = det_proxy > 0.0;
-    if (invertible) {
-        // Try the inverse; inverse() panics on exact singularity, so
-        // pre-check by testing conditioning through the pivot loop is
-        // overkill here — PDN A-matrices are comfortably invertible.
-        factor = sys.a.inverse() * (out.ad_ - MatN::identity(n));
-    } else {
-        MatN acc = MatN::identity(n) * dt;
-        MatN term = MatN::identity(n) * dt;
-        for (int k = 2; k <= 18; ++k) {
-            term = term * sys.a * (dt / k);
-            acc = acc + term;
-        }
-        factor = acc;
-    }
+    // Bd = A^-1 (Ad - I) B. inverse() panics on a singular A (PDN
+    // A-matrices are comfortably invertible); only an all-zero A — no
+    // dynamics — is special-cased, where the integral is I dt.
+    const MatN factor = sys.a.maxAbs() > 0.0
+                            ? sys.a.inverse() * (out.ad_ - MatN::identity(n))
+                            : MatN::identity(n) * dt;
     out.bd_.assign(static_cast<size_t>(n) * m, 0.0);
     for (unsigned i = 0; i < n; ++i)
         for (unsigned j = 0; j < m; ++j) {

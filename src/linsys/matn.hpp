@@ -3,12 +3,12 @@
  * Small dense matrices of runtime dimension (N <= 8) for higher-order
  * supply-network models.
  *
- * The second-order model of mat2.hpp is the paper's abstraction; real
- * power-delivery networks are a hierarchy (VRM → bulk capacitors →
- * package inductance → die capacitance) whose mid-frequency resonance
- * is damped only by the *loop* resistances, not the full DC path. The
- * three-state model built on MatN captures that while keeping the DC
- * resistance at the paper's 0.5 mΩ.
+ * The paper's abstraction is a second-order model; real power-delivery
+ * networks are a hierarchy (VRM → bulk capacitors → package inductance
+ * → die capacitance) whose mid-frequency resonance is damped only by
+ * the *loop* resistances, not the full DC path. The three-state model
+ * built on MatN captures that while keeping the DC resistance at the
+ * paper's 0.5 mΩ.
  */
 
 #ifndef VGUARD_LINSYS_MATN_HPP

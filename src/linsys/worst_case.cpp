@@ -1,5 +1,6 @@
 #include "linsys/worst_case.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -50,6 +51,29 @@ resonantSquareWave(size_t len, size_t halfPeriod, double lo, double hi)
     std::vector<double> s(len);
     for (size_t t = 0; t < len; ++t)
         s[t] = ((t / halfPeriod) % 2 == 0) ? hi : lo;
+    return s;
+}
+
+std::vector<double>
+pulseSignal(size_t len, double baseline, double high, size_t start,
+            size_t width)
+{
+    std::vector<double> s(len, baseline);
+    for (size_t i = start; i < std::min(len, start + width); ++i)
+        s[i] = high;
+    return s;
+}
+
+std::vector<double>
+pulseTrainSignal(size_t len, double baseline, double high, size_t start,
+                 size_t width, size_t period)
+{
+    if (period == 0)
+        fatal("pulseTrainSignal: period must be non-zero");
+    std::vector<double> s(len, baseline);
+    for (size_t t = start; t < len; t += period)
+        for (size_t i = t; i < std::min(len, t + width); ++i)
+            s[i] = high;
     return s;
 }
 

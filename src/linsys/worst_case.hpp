@@ -11,7 +11,9 @@
  *
  * vguard uses this to (a) calibrate the target impedance (Table 2's
  * "100%"), (b) build the theoretical worst-case waveform of Fig. 9, and
- * (c) solve for safe controller thresholds (Table 3).
+ * (c) solve for safe controller thresholds (Table 3). The square-wave
+ * and pulse builders below are the test inputs of those studies and of
+ * Figs. 3-6.
  */
 
 #ifndef VGUARD_LINSYS_WORST_CASE_HPP
@@ -60,6 +62,22 @@ double l1Norm(const std::vector<double> &impulse);
  */
 std::vector<double> resonantSquareWave(size_t len, size_t halfPeriod,
                                        double lo, double hi);
+
+/**
+ * Rectangular pulse: baseline with [start, start+width) raised to
+ * @p high. Used for the narrow/wide spike studies of Figs. 3-4.
+ */
+std::vector<double> pulseSignal(size_t len, double baseline, double high,
+                                size_t start, size_t width);
+
+/**
+ * Periodic train of rectangular pulses (Fig. 6's resonant stress
+ * pattern): pulses of @p width samples every @p period samples starting
+ * at @p start.
+ */
+std::vector<double> pulseTrainSignal(size_t len, double baseline,
+                                     double high, size_t start,
+                                     size_t width, size_t period);
 
 } // namespace vguard::linsys
 

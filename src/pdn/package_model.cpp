@@ -71,12 +71,6 @@ PackageModel::design(double f0Hz, double zPeakOhms, double rDc,
     return PackageModel(p);
 }
 
-PackageModel
-PackageModel::paperReference(double zTargetOhms, double impedanceScale)
-{
-    return design(50e6, zTargetOhms * impedanceScale);
-}
-
 std::complex<double>
 PackageModel::impedance(double hz) const
 {

@@ -76,13 +76,6 @@ class PackageModel
                                double clockHz = 3e9,
                                double vNominal = 1.0);
 
-    /**
-     * The paper's reference package: 50 MHz resonance, 0.5 mΩ DC,
-     * 3 GHz clock, with peak impedance = @p impedanceScale × zTarget.
-     */
-    static PackageModel paperReference(double zTargetOhms,
-                                       double impedanceScale = 1.0);
-
     /** Complex die-node impedance at frequency @p hz. */
     std::complex<double> impedance(double hz) const;
 

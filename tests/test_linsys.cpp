@@ -1,18 +1,21 @@
 /**
  * @file
- * Unit and property tests for src/linsys: Mat2 algebra, matrix
- * exponential, ZOH discretisation, signal builders and the bang-bang
- * worst-case analysis.
+ * Unit and property tests for src/linsys: MatN algebra and matrix
+ * exponential at N = 2, ZOH discretisation of second-order systems,
+ * signal builders and the bang-bang worst-case analysis.
+ *
+ * The second-order cases (suites Mat2, StateSpace and ZohSweep) run
+ * on MatN / DiscreteStateSpaceN at N = 2, where closed forms exist.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "linsys/fft.hpp"
-#include "linsys/mat2.hpp"
-#include "linsys/state_space.hpp"
+#include "linsys/matn.hpp"
 #include "linsys/worst_case.hpp"
 #include "util/rng.hpp"
 
@@ -20,104 +23,154 @@ namespace {
 
 using namespace vguard::linsys;
 
+/** Row-major 2x2 MatN. */
+MatN
+mat2(double a, double b, double c, double d)
+{
+    MatN m(2);
+    m.at(0, 0) = a;
+    m.at(0, 1) = b;
+    m.at(1, 0) = c;
+    m.at(1, 1) = d;
+    return m;
+}
+
+// Closed-form 2x2 oracles: trace, determinant and the spectral radius
+// from the characteristic polynomial (MatN only estimates the latter).
+double
+trace2(const MatN &m)
+{
+    return m.at(0, 0) + m.at(1, 1);
+}
+
+double
+det2(const MatN &m)
+{
+    return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0);
+}
+
+double
+spectralRadius2(const MatN &m)
+{
+    // Eigenvalues of a 2x2: (tr ± sqrt(tr^2 - 4 det)) / 2.
+    const double tr = trace2(m);
+    const double det = det2(m);
+    const double disc = tr * tr - 4.0 * det;
+    if (disc >= 0.0) {
+        const double r = std::sqrt(disc);
+        return std::max(std::fabs((tr + r) * 0.5),
+                        std::fabs((tr - r) * 0.5));
+    }
+    // Complex pair: |lambda| = sqrt(det).
+    return std::sqrt(std::fabs(det));
+}
+
 TEST(Mat2, Arithmetic)
 {
-    const Mat2 a{1, 2, 3, 4};
-    const Mat2 b{5, 6, 7, 8};
-    const Mat2 sum = a + b;
-    EXPECT_DOUBLE_EQ(sum.a, 6);
-    EXPECT_DOUBLE_EQ(sum.d, 12);
-    const Mat2 prod = a * b;
-    EXPECT_DOUBLE_EQ(prod.a, 19);
-    EXPECT_DOUBLE_EQ(prod.b, 22);
-    EXPECT_DOUBLE_EQ(prod.c, 43);
-    EXPECT_DOUBLE_EQ(prod.d, 50);
+    const MatN a = mat2(1, 2, 3, 4);
+    const MatN b = mat2(5, 6, 7, 8);
+    const MatN sum = a + b;
+    EXPECT_DOUBLE_EQ(sum.at(0, 0), 6);
+    EXPECT_DOUBLE_EQ(sum.at(1, 1), 12);
+    const MatN prod = a * b;
+    EXPECT_DOUBLE_EQ(prod.at(0, 0), 19);
+    EXPECT_DOUBLE_EQ(prod.at(0, 1), 22);
+    EXPECT_DOUBLE_EQ(prod.at(1, 0), 43);
+    EXPECT_DOUBLE_EQ(prod.at(1, 1), 50);
 }
 
 TEST(Mat2, VectorProduct)
 {
-    const Mat2 a{1, 2, 3, 4};
-    const Vec2 v = a * Vec2{1.0, -1.0};
-    EXPECT_DOUBLE_EQ(v.x, -1.0);
-    EXPECT_DOUBLE_EQ(v.y, -1.0);
+    const MatN a = mat2(1, 2, 3, 4);
+    const std::vector<double> v = a.apply({1.0, -1.0});
+    ASSERT_EQ(v.size(), 2u);
+    EXPECT_DOUBLE_EQ(v[0], -1.0);
+    EXPECT_DOUBLE_EQ(v[1], -1.0);
 }
 
 TEST(Mat2, TraceDet)
 {
-    const Mat2 a{2, 1, 1, 3};
-    EXPECT_DOUBLE_EQ(a.trace(), 5.0);
-    EXPECT_DOUBLE_EQ(a.det(), 5.0);
+    // Pins the closed-form oracles the spectral-radius cases rely on.
+    const MatN a = mat2(2, 1, 1, 3);
+    EXPECT_DOUBLE_EQ(trace2(a), 5.0);
+    EXPECT_DOUBLE_EQ(det2(a), 5.0);
 }
 
 TEST(Mat2, InverseRoundTrip)
 {
-    const Mat2 a{2, 1, 1, 3};
-    const Mat2 id = a * a.inverse();
-    EXPECT_NEAR(id.a, 1.0, 1e-14);
-    EXPECT_NEAR(id.b, 0.0, 1e-14);
-    EXPECT_NEAR(id.c, 0.0, 1e-14);
-    EXPECT_NEAR(id.d, 1.0, 1e-14);
+    const MatN a = mat2(2, 1, 1, 3);
+    const MatN id = a * a.inverse();
+    EXPECT_NEAR(id.at(0, 0), 1.0, 1e-14);
+    EXPECT_NEAR(id.at(0, 1), 0.0, 1e-14);
+    EXPECT_NEAR(id.at(1, 0), 0.0, 1e-14);
+    EXPECT_NEAR(id.at(1, 1), 1.0, 1e-14);
 }
 
 TEST(Mat2, ExpmOfZeroIsIdentity)
 {
-    const Mat2 e = expm(Mat2::zero());
-    EXPECT_NEAR(e.a, 1.0, 1e-15);
-    EXPECT_NEAR(e.b, 0.0, 1e-15);
-    EXPECT_NEAR(e.d, 1.0, 1e-15);
+    const MatN e = expm(MatN(2));
+    EXPECT_NEAR(e.at(0, 0), 1.0, 1e-15);
+    EXPECT_NEAR(e.at(0, 1), 0.0, 1e-15);
+    EXPECT_NEAR(e.at(1, 1), 1.0, 1e-15);
 }
 
 TEST(Mat2, ExpmDiagonal)
 {
-    const Mat2 m{1.0, 0.0, 0.0, -2.0};
-    const Mat2 e = expm(m);
-    EXPECT_NEAR(e.a, std::exp(1.0), 1e-12);
-    EXPECT_NEAR(e.d, std::exp(-2.0), 1e-12);
-    EXPECT_NEAR(e.b, 0.0, 1e-13);
-    EXPECT_NEAR(e.c, 0.0, 1e-13);
+    const MatN e = expm(mat2(1.0, 0.0, 0.0, -2.0));
+    EXPECT_NEAR(e.at(0, 0), std::exp(1.0), 1e-12);
+    EXPECT_NEAR(e.at(1, 1), std::exp(-2.0), 1e-12);
+    EXPECT_NEAR(e.at(0, 1), 0.0, 1e-13);
+    EXPECT_NEAR(e.at(1, 0), 0.0, 1e-13);
 }
 
 TEST(Mat2, ExpmRotation)
 {
     // exp([[0,-w],[w,0]] t) is a rotation by w*t.
     const double w = 3.0;
-    const Mat2 e = expm(Mat2{0.0, -w, w, 0.0});
-    EXPECT_NEAR(e.a, std::cos(w), 1e-12);
-    EXPECT_NEAR(e.b, -std::sin(w), 1e-12);
-    EXPECT_NEAR(e.c, std::sin(w), 1e-12);
-    EXPECT_NEAR(e.d, std::cos(w), 1e-12);
+    const MatN e = expm(mat2(0.0, -w, w, 0.0));
+    EXPECT_NEAR(e.at(0, 0), std::cos(w), 1e-12);
+    EXPECT_NEAR(e.at(0, 1), -std::sin(w), 1e-12);
+    EXPECT_NEAR(e.at(1, 0), std::sin(w), 1e-12);
+    EXPECT_NEAR(e.at(1, 1), std::cos(w), 1e-12);
 }
 
 TEST(Mat2, ExpmLargeArgumentScales)
 {
-    const Mat2 e = expm(Mat2{-100.0, 0.0, 0.0, -100.0});
-    EXPECT_NEAR(e.a, std::exp(-100.0), 1e-50);
+    const MatN e = expm(mat2(-100.0, 0.0, 0.0, -100.0));
+    EXPECT_NEAR(e.at(0, 0), std::exp(-100.0), 1e-50);
 }
 
 TEST(Mat2, ExpmSumProperty)
 {
     // For commuting matrices (same matrix halves): exp(M) =
     // exp(M/2)^2.
-    const Mat2 m{-0.3, 1.2, -0.7, 0.1};
-    const Mat2 whole = expm(m);
-    const Mat2 half = expm(m * 0.5);
-    const Mat2 sq = half * half;
-    EXPECT_NEAR(whole.a, sq.a, 1e-12);
-    EXPECT_NEAR(whole.b, sq.b, 1e-12);
-    EXPECT_NEAR(whole.c, sq.c, 1e-12);
-    EXPECT_NEAR(whole.d, sq.d, 1e-12);
+    const MatN m = mat2(-0.3, 1.2, -0.7, 0.1);
+    const MatN whole = expm(m);
+    const MatN half = expm(m * 0.5);
+    const MatN sq = half * half;
+    for (unsigned i = 0; i < 2; ++i)
+        for (unsigned j = 0; j < 2; ++j)
+            EXPECT_NEAR(whole.at(i, j), sq.at(i, j), 1e-12);
+}
+
+/** Two-state, two-input, one-output system; @p b is row-major
+    N x M like StateSpaceN::b. */
+StateSpaceN
+system2(const MatN &a, std::vector<double> b, std::vector<double> c)
+{
+    StateSpaceN ss(2, 2);
+    ss.a = a;
+    ss.b = std::move(b);
+    ss.c = std::move(c);
+    return ss;
 }
 
 // A simple scalar-like test system: two decoupled first-order lags.
-StateSpace2
+StateSpaceN
 decoupledLags(double tau1, double tau2)
 {
-    StateSpace2 ss;
-    ss.a = {-1.0 / tau1, 0.0, 0.0, -1.0 / tau2};
-    ss.b = {1.0 / tau1, 0.0, 0.0, 1.0 / tau2};
-    ss.c = {1.0, 1.0};
-    ss.d = {0.0, 0.0};
-    return ss;
+    return system2(mat2(-1.0 / tau1, 0.0, 0.0, -1.0 / tau2),
+                   {1.0 / tau1, 0.0, 0.0, 1.0 / tau2}, {1.0, 1.0});
 }
 
 TEST(StateSpace, ZohMatchesAnalyticFirstOrder)
@@ -125,32 +178,33 @@ TEST(StateSpace, ZohMatchesAnalyticFirstOrder)
     // Single lag x' = (-x + u)/tau discretised with ZOH:
     // x[k+1] = a x[k] + (1-a) u with a = exp(-dt/tau).
     const double tau = 2.0, dt = 0.1;
-    const auto dss = DiscreteStateSpace2::zoh(decoupledLags(tau, 1.0), dt);
+    const auto dss = DiscreteStateSpaceN::zoh(decoupledLags(tau, 1.0), dt);
     const double a = std::exp(-dt / tau);
-    EXPECT_NEAR(dss.ad().a, a, 1e-12);
-    EXPECT_NEAR(dss.bd().a, 1.0 - a, 1e-12);
+    EXPECT_NEAR(dss.ad().at(0, 0), a, 1e-12);
+    EXPECT_NEAR(dss.bd()[0], 1.0 - a, 1e-12);
 }
 
 TEST(StateSpace, StepConvergesToDcGain)
 {
     const auto dss =
-        DiscreteStateSpace2::zoh(decoupledLags(1.0, 3.0), 0.05);
-    Vec2 x{0.0, 0.0};
-    const Vec2 u{2.0, -1.0};
+        DiscreteStateSpaceN::zoh(decoupledLags(1.0, 3.0), 0.05);
+    std::vector<double> x{0.0, 0.0};
+    const std::vector<double> u{2.0, -1.0};
     for (int i = 0; i < 4000; ++i)
-        x = dss.next(x, u);
+        dss.next(x, u);
     // DC: each lag settles to its input; y = x1 + x2 = 2 - 1 = 1.
     EXPECT_NEAR(dss.output(x, u), 1.0, 1e-9);
 }
 
 TEST(StateSpace, SimulateProducesPerStepOutputs)
 {
+    // stepBlock2 samples the output before advancing, per step.
     const auto dss =
-        DiscreteStateSpace2::zoh(decoupledLags(1.0, 1.0), 0.1);
-    Vec2 x{0.0, 0.0};
-    const std::vector<Vec2> inputs(10, Vec2{1.0, 0.0});
-    const auto ys = dss.simulate(x, inputs);
-    ASSERT_EQ(ys.size(), 10u);
+        DiscreteStateSpaceN::zoh(decoupledLags(1.0, 1.0), 0.1);
+    std::vector<double> x{0.0, 0.0};
+    const std::vector<double> second(10, 0.0);
+    std::vector<double> ys(10);
+    dss.stepBlock2(x, 1.0, second.data(), ys.size(), ys.data());
     EXPECT_DOUBLE_EQ(ys[0], 0.0);      // zero state, no feedthrough
     EXPECT_GT(ys[9], ys[1]);           // rising toward DC gain
 }
@@ -158,30 +212,21 @@ TEST(StateSpace, SimulateProducesPerStepOutputs)
 TEST(StateSpace, SpectralRadiusStable)
 {
     const auto dss =
-        DiscreteStateSpace2::zoh(decoupledLags(1.0, 2.0), 0.1);
-    EXPECT_LT(dss.spectralRadius(), 1.0);
-    EXPECT_GT(dss.spectralRadius(), 0.0);
+        DiscreteStateSpaceN::zoh(decoupledLags(1.0, 2.0), 0.1);
+    EXPECT_LT(dss.spectralRadiusEstimate(), 1.0);
+    EXPECT_GT(dss.spectralRadiusEstimate(), 0.0);
 }
 
 TEST(StateSpace, SpectralRadiusComplexPair)
 {
-    // Lightly damped oscillator has a complex eigenpair.
-    StateSpace2 ss;
-    ss.a = {-0.1, -10.0, 10.0, -0.1};
-    ss.b = {1.0, 0.0, 0.0, 1.0};
-    ss.c = {1.0, 0.0};
-    ss.d = {0.0, 0.0};
-    const auto dss = DiscreteStateSpace2::zoh(ss, 0.01);
-    const double rho = dss.spectralRadius();
+    // Lightly damped oscillator has a complex eigenpair; the closed
+    // form on the discretised Ad must give |lambda| = exp(-0.1 dt).
+    const auto dss = DiscreteStateSpaceN::zoh(
+        system2(mat2(-0.1, -10.0, 10.0, -0.1), {1.0, 0.0, 0.0, 1.0},
+                {1.0, 0.0}),
+        0.01);
+    const double rho = spectralRadius2(dss.ad());
     EXPECT_NEAR(rho, std::exp(-0.1 * 0.01), 1e-9);
-}
-
-TEST(Signals, Constant)
-{
-    const auto s = constantSignal(5, 3.0);
-    ASSERT_EQ(s.size(), 5u);
-    for (double v : s)
-        EXPECT_DOUBLE_EQ(v, 3.0);
 }
 
 TEST(Signals, Pulse)
@@ -275,29 +320,35 @@ class ZohSweep : public ::testing::TestWithParam<double>
 TEST_P(ZohSweep, MatchesFineEuler)
 {
     const double wn = GetParam(); // natural frequency [rad/s]
-    StateSpace2 ss;
     const double zeta = 0.3;
     // Canonical second-order: x1' = x2, x2' = -wn^2 x1 - 2 zeta wn x2 + u
-    ss.a = {0.0, 1.0, -wn * wn, -2.0 * zeta * wn};
-    ss.b = {0.0, 0.0, 1.0, 0.0};
-    ss.c = {1.0, 0.0};
-    ss.d = {0.0, 0.0};
+    const StateSpaceN ss =
+        system2(mat2(0.0, 1.0, -wn * wn, -2.0 * zeta * wn),
+                {0.0, 0.0, 1.0, 0.0}, {1.0, 0.0});
 
     const double dt = 0.05 / wn;
-    const auto dss = DiscreteStateSpace2::zoh(ss, dt);
-    EXPECT_LT(dss.spectralRadius(), 1.0);
+    const auto dss = DiscreteStateSpaceN::zoh(ss, dt);
+    EXPECT_LT(spectralRadius2(dss.ad()), 1.0);
 
     // Integrate one coarse step with 1000 Euler substeps, constant u.
-    const Vec2 u{1.0, 0.0};
-    Vec2 x{0.2, -0.1};
-    Vec2 fine = x;
+    const std::vector<double> u{1.0, 0.0};
+    const std::vector<double> x{0.2, -0.1};
+    std::vector<double> fine = x;
     const int sub = 1000;
     const double h = dt / sub;
-    for (int i = 0; i < sub; ++i)
-        fine += (ss.a * fine + ss.b * u) * h;
-    const Vec2 coarse = dss.next(x, u);
-    EXPECT_NEAR(coarse.x, fine.x, 1e-3 * std::max(1.0, std::fabs(fine.x)));
-    EXPECT_NEAR(coarse.y, fine.y, 1e-3 * std::max(1.0, std::fabs(fine.y)));
+    for (int i = 0; i < sub; ++i) {
+        const std::vector<double> ax = ss.a.apply(fine);
+        for (unsigned r = 0; r < 2; ++r)
+            fine[r] += (ax[r] + ss.b[r * 2] * u[0] +
+                        ss.b[r * 2 + 1] * u[1]) *
+                       h;
+    }
+    std::vector<double> coarse = x;
+    dss.next(coarse, u);
+    EXPECT_NEAR(coarse[0], fine[0],
+                1e-3 * std::max(1.0, std::fabs(fine[0])));
+    EXPECT_NEAR(coarse[1], fine[1],
+                1e-3 * std::max(1.0, std::fabs(fine[1])));
 }
 
 INSTANTIATE_TEST_SUITE_P(Frequencies, ZohSweep,

@@ -145,8 +145,8 @@ TEST(PackageDesign, QualityFactorGrowsWithPeak)
 
 TEST(PackageDesign, PaperReferenceScales)
 {
-    const auto base = PackageModel::paperReference(1e-3, 1.0);
-    const auto x2 = PackageModel::paperReference(1e-3, 2.0);
+    const auto base = PackageModel::design(50e6, 1e-3 * 1.0);
+    const auto x2 = PackageModel::design(50e6, 1e-3 * 2.0);
     EXPECT_NEAR(x2.peakImpedance(), 2.0 * base.peakImpedance(),
                 0.01 * base.peakImpedance());
 }
@@ -672,7 +672,7 @@ class ImpedanceSweep : public ::testing::TestWithParam<double>
 TEST_P(ImpedanceSweep, StableAndConsistent)
 {
     const double scale = GetParam();
-    const auto m = PackageModel::paperReference(1e-3, scale);
+    const auto m = PackageModel::design(50e6, 1e-3 * scale);
     EXPECT_LT(m.discrete().spectralRadiusEstimate(), 1.0);
     EXPECT_NEAR(m.impedanceMag(0.0), 0.5e-3, 1e-9);
     EXPECT_NEAR(m.peakImpedance(), scale * 1e-3, scale * 1e-3 * 1e-3);

@@ -8,14 +8,21 @@
  * toggled off, the committed golden mini-campaign must be unchanged
  * with the cache force-enabled, and back-to-back VoltageSim::run()
  * calls must continue the PDN/convolver state exactly like one long
- * run.
+ * run. The power-virus capture behind referenceCurrentRange() is
+ * checked against a hand-rolled core + Wattch oracle, and fetchTrace
+ * must return the same bytes disabled, capturing and hitting.
  *
  * Labeled `campaign` so the suite runs under TSan via
  *   cmake -B build-tsan -DVGUARD_SANITIZE=thread
  *   ctest --test-dir build-tsan -L campaign
+ * The cache-path cases are registered a second time (prefix
+ * `Budget0/`) with VGUARD_TRACE_CACHE_MB=0, so every capture blows
+ * the byte budget and each fallback path runs.
  */
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -29,6 +36,8 @@
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "core/voltage_sim.hpp"
+#include "cpu/core.hpp"
+#include "power/wattch.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
 #include "workloads/stressmark.hpp"
@@ -56,7 +65,29 @@ expectSameSim(const VoltageSimResult &a, const VoltageSimResult &b)
         EXPECT_EQ(a.voltageHist.count(i), b.voltageHist.count(i));
 }
 
-// ------------------------------------------------------------- key
+/** Waveform, fingerprints and front-end results match byte for byte. */
+void
+expectSameTrace(const CapturedTrace &a, const CapturedTrace &b)
+{
+    ASSERT_EQ(a.cycles(), b.cycles());
+    EXPECT_EQ(0, std::memcmp(a.ampsData(), b.ampsData(),
+                             a.cycles() * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(a.activityData(), b.activityData(),
+                             a.cycles() * sizeof(PackedActivity)));
+    EXPECT_EQ(a.committed, b.committed);
+    EXPECT_EQ(a.halted, b.halted);
+    EXPECT_EQ(encodeSnapshot(a.frontEnd), encodeSnapshot(b.frontEnd));
+}
+
+/** True under the `Budget0/` registration: no trace is ever retained. */
+bool
+zeroBudget()
+{
+    // Read on the test's main thread before it starts any workers.
+    // NOLINTNEXTLINE(concurrency-mt-unsafe)
+    const char *env = std::getenv("VGUARD_TRACE_CACHE_MB");
+    return env && std::string(env) == "0";
+}
 
 // ------------------------------------------------------- env knobs
 
@@ -242,6 +273,7 @@ TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
 
     const uint64_t capBefore = tc.captures();
     const uint64_t hitBefore = tc.hits();
+    const uint64_t evictBefore = tc.evicts();
 
     std::vector<VoltageSimResult> results(8);
     std::vector<std::thread> threads;
@@ -254,6 +286,9 @@ TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
     EXPECT_EQ(tc.captures() - capBefore, 1u)
         << "concurrent first calls must collapse to one capture";
     EXPECT_EQ(tc.hits() - hitBefore, 7u);
+    // Over a zero budget the capture is dropped: the capturer keeps
+    // its own result and the seven others capture afresh, uncached.
+    EXPECT_EQ(tc.evicts() - evictBefore, zeroBudget() ? 1u : 0u);
 
     // Capturer and replayers alike must equal a cache-bypassing run.
     tc.setEnabled(false);
@@ -264,6 +299,109 @@ TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
         EXPECT_EQ(full.stats.json(), r.stats.json());
         EXPECT_EQ(full.events.jsonl(), r.events.jsonl());
     }
+}
+
+// ------------------------------------------------------ fetchTrace
+
+TEST(TraceCacheFetch, DisabledCapturingAndHitAgree)
+{
+    TraceCache &tc = TraceCache::instance();
+    TraceStore::instance().configure("", 0);
+    tc.setEnabled(true);
+    referenceCurrentRange();
+
+    const isa::Program prog = workloads::buildSpecProxy("swim");
+    RunSpec rs;
+    rs.controllerEnabled = false;
+    rs.maxCycles = 1931; // fresh key: no other test uses this limit
+
+    tc.setEnabled(false);
+    CapturedTrace offSpill;
+    const CapturedTrace &off = fetchTrace(prog, rs, offSpill);
+    tc.setEnabled(true);
+    ASSERT_GT(off.cycles(), 0u);
+
+    const uint64_t capBefore = tc.captures();
+    const uint64_t evictBefore = tc.evicts();
+    CapturedTrace firstSpill;
+    const CapturedTrace &first = fetchTrace(prog, rs, firstSpill);
+    CapturedTrace secondSpill;
+    const CapturedTrace &second = fetchTrace(prog, rs, secondSpill);
+    EXPECT_EQ(tc.captures() - capBefore, 1u);
+    EXPECT_EQ(tc.evicts() - evictBefore, zeroBudget() ? 1u : 0u);
+    if (!zeroBudget()) {
+        EXPECT_EQ(&first, &second) << "a hit must serve the cached entry";
+    }
+
+    expectSameTrace(off, first);
+    expectSameTrace(off, second);
+}
+
+// -------------------------------------------------- power-virus oracle
+
+/**
+ * A hand-rolled power-virus open loop — its own core and Wattch model,
+ * no PDN — as the oracle for the virus trace referenceCurrentRange()
+ * captures through VoltageSim::run. @p measuredPeak gets the maximum
+ * over the steady second half.
+ */
+CapturedTrace
+handRolledVirus(double &measuredPeak)
+{
+    const Machine m = referenceMachine();
+    power::WattchModel model(m.power, m.cpu);
+    const isa::Program virus = workloads::powerVirus();
+    const uint64_t total = 30000;
+    cpu::OoOCore core(m.cpu, virus);
+    obs::Registry reg;
+    core.registerStats(reg, "cpu");
+    model.registerStats(reg, "power", 1.0 / m.cpu.clockHz);
+    const obs::Snapshot before = reg.snapshot();
+    CapturedTrace trace;
+    trace.amps.reserve(total);
+    trace.activity.reserve(total);
+    double peak = 0.0;
+    while (core.now() < total && !core.halted()) {
+        const cpu::ActivityVector &av = core.cycle();
+        const double amps = model.current(av);
+        if (core.now() > total / 2)
+            peak = std::max(peak, amps);
+        trace.amps.push_back(amps);
+        trace.activity.push_back(packActivity(av));
+    }
+    trace.committed = core.stats().committed;
+    trace.halted = core.halted();
+    trace.frontEnd = frontEndSubset(reg.snapshot().diff(before));
+    measuredPeak = peak;
+    return trace;
+}
+
+TEST(TraceCacheVirus, CachedVirusTraceMatchesHandRolledLoop)
+{
+    TraceCache &tc = TraceCache::instance();
+    TraceStore::instance().configure("", 0);
+    tc.setEnabled(true);
+    const CurrentRange &range = referenceCurrentRange();
+
+    // The virus key is the open-loop key of (powerVirus, 30000 cycles,
+    // no instruction limit), so fetchTrace serves the cached capture.
+    RunSpec rs;
+    rs.controllerEnabled = false;
+    rs.maxCycles = 30000;
+    const uint64_t capBefore = tc.captures();
+    CapturedTrace spill;
+    const CapturedTrace &cached =
+        fetchTrace(workloads::powerVirus(), rs, spill);
+    EXPECT_EQ(tc.captures(), capBefore)
+        << "referenceCurrentRange() must have seeded the virus key";
+    if (zeroBudget()) {
+        EXPECT_GT(tc.evicts(), 0u);
+    }
+
+    double peak = -1.0;
+    const CapturedTrace oracle = handRolledVirus(peak);
+    expectSameTrace(oracle, cached);
+    EXPECT_EQ(range.progMax, peak);
 }
 
 // ------------------------------------------------ campaign determinism
@@ -310,6 +448,7 @@ TEST(TraceCacheCampaign, ByteIdenticalAcrossThreadsAndCacheToggle)
     referenceCurrentRange();
     const uint64_t capBefore = tc.captures();
     const uint64_t hitBefore = tc.hits();
+    const uint64_t evictBefore = tc.evicts();
 
     CampaignEngine::Options base;
     base.campaignSeed = 0xabcdef;
@@ -331,6 +470,7 @@ TEST(TraceCacheCampaign, ByteIdenticalAcrossThreadsAndCacheToggle)
     // open-loop legs replayed — proof the fast path actually engaged.
     EXPECT_EQ(tc.captures() - capBefore, 2u);
     EXPECT_EQ(tc.hits() - hitBefore, 16u);
+    EXPECT_EQ(tc.evicts() - evictBefore, zeroBudget() ? 2u : 0u);
 
     // Cache off: every leg is a fresh full-core run — same bytes.
     tc.setEnabled(false);
