@@ -27,9 +27,10 @@
  *
  * A chip-sweep section then times the many-core shared-rail path
  * (core/multicore_sim): 8 chips × 4 staggered replay cores each,
- * scalar vs batched stepPerLane, with exact per-lane agreement
- * reported as chipLanesIdentical (CI floor) and the throughput ratio
- * as chipBatchedSpeedup. Writes BENCH_simloop.json.
+ * scalar vs batched stepPerLane in interleaved pairs, with exact
+ * per-lane agreement reported as chipLanesIdentical (CI floor) and
+ * the median per-pair throughput ratio as chipBatchedSpeedup. Writes
+ * BENCH_simloop.json.
  *
  * Usage:
  *   bench_simloop [cycles] [--jsonl FILE]
@@ -40,6 +41,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,6 +98,46 @@ timeBest(int reps, Fn &&fn)
     for (int r = 1; r < reps; ++r)
         best = std::min(best, timeIt(fn));
     return best;
+}
+
+/** Median of @p xs (upper median for even sizes; xs non-empty). */
+double
+median(std::vector<double> xs)
+{
+    const auto mid = xs.begin() + static_cast<ptrdiff_t>(xs.size() / 2);
+    std::nth_element(xs.begin(), mid, xs.end());
+    return *mid;
+}
+
+/**
+ * Time @p base and @p other back to back, @p pairs times, alternating
+ * which goes first. Machine speed drifts over the bench's lifetime; a
+ * pair sees the same conditions, so the per-pair ratio other/base is
+ * robust where the ratio of two independent best-ofs is not. Returns
+ * the median ratio; @p baseSecs / @p otherSecs get each leg's median.
+ */
+template <typename Base, typename Other>
+double
+medianPairRatio(int pairs, Base &&base, Other &&other, double &baseSecs,
+                double &otherSecs)
+{
+    std::vector<double> b, o, ratio;
+    for (int p = 0; p < pairs; ++p) {
+        double tb, to;
+        if (p % 2 == 0) {
+            tb = timeIt(base);
+            to = timeIt(other);
+        } else {
+            to = timeIt(other);
+            tb = timeIt(base);
+        }
+        b.push_back(tb);
+        o.push_back(to);
+        ratio.push_back(tb > 0.0 ? to / tb : 0.0);
+    }
+    baseSecs = median(b);
+    otherSecs = median(o);
+    return median(ratio);
 }
 
 /** Exact equality of a replayed result against the full-core one. */
@@ -155,17 +197,15 @@ main(int argc, char **argv)
         blkRes = sim.runReplay(trace);
     });
 
-    // Tracing overhead guard: the same block replay, best-of-N, with
-    // the span tracer off and then on. Instrumentation must stay
-    // effectively free on the replay hot path (CI enforces a ceiling
-    // on the percentage via benchdiff).
-    // Interleave the two variants (machine speed drifts over the
-    // bench's lifetime; back-to-back pairs see the same conditions)
-    // and keep the best of each. enable()/disable() sit outside the
+    // Tracing overhead guard: the same block replay with the span
+    // tracer off and then on, in back-to-back pairs; the overhead is
+    // the median per-pair ratio. Instrumentation must stay effectively
+    // free on the replay hot path (CI enforces a ceiling on the
+    // percentage via benchdiff). enable()/disable() sit outside the
     // timed regions: ring allocation is a one-off cost, not the
     // per-event overhead this guard pins, and each enable() starts
     // from an empty (never-dropping) ring.
-    constexpr int kOverheadReps = 9;
+    constexpr int kOverheadPairs = 21;
     obs::Tracer::instance().enable();
     {
         // Prewarm: force the per-thread ring allocation outside the
@@ -174,8 +214,8 @@ main(int argc, char **argv)
         obs::TraceSpan warm("bench.warm");
     }
     obs::Tracer::instance().disable();
-    double untracedSecs = 0.0, tracedSecs = 0.0;
-    for (int r = 0; r < kOverheadReps; ++r) {
+    std::vector<double> tracedRatios;
+    for (int r = 0; r < kOverheadPairs; ++r) {
         const double u = timeIt([&] {
             VoltageSim sim(openCfg, program);
             blkRes = sim.runReplay(trace);
@@ -186,13 +226,10 @@ main(int argc, char **argv)
             blkRes = sim.runReplay(trace);
         });
         obs::Tracer::instance().disable();
-        untracedSecs = r == 0 ? u : std::min(untracedSecs, u);
-        tracedSecs = r == 0 ? t : std::min(tracedSecs, t);
+        tracedRatios.push_back(u > 0.0 ? t / u : 1.0);
     }
     const double tracedReplayOverheadPct =
-        untracedSecs > 0.0
-            ? (tracedSecs / untracedSecs - 1.0) * 100.0
-            : 0.0;
+        (median(tracedRatios) - 1.0) * 100.0;
 
     // Closed-loop context: the controller path replay can never take.
     RunSpec closed;
@@ -281,15 +318,21 @@ main(int argc, char **argv)
                  0.0});
         chipSpecs.push_back(std::move(chip));
     }
+    constexpr int kChipPairs = 15;
     std::vector<ChipResult> chipScalar, chipBatched;
-    const double chipScalarSecs = timeBest(kSweepReps, [&] {
-        chipScalar =
-            runChips(chipSpecs, nTrace, pdn::BackendKind::Scalar);
-    });
-    const double chipBatchedSecs = timeBest(kSweepReps, [&] {
-        chipBatched =
-            runChips(chipSpecs, nTrace, pdn::BackendKind::Batched);
-    });
+    double chipScalarSecs = 0.0, chipBatchedSecs = 0.0;
+    // Speedup = scalar seconds / batched seconds, per pair.
+    const double chipBatchedSpeedup = medianPairRatio(
+        kChipPairs,
+        [&] {
+            chipBatched =
+                runChips(chipSpecs, nTrace, pdn::BackendKind::Batched);
+        },
+        [&] {
+            chipScalar =
+                runChips(chipSpecs, nTrace, pdn::BackendKind::Scalar);
+        },
+        chipBatchedSecs, chipScalarSecs);
     bool chipLanesIdentical = chipScalar.size() == chipBatched.size();
     for (size_t c = 0; chipLanesIdentical && c < chipScalar.size();
          ++c) {
@@ -348,8 +391,6 @@ main(int argc, char **argv)
     const double chipScalarRate = rate(chipLaneCycles, chipScalarSecs);
     const double chipBatchedRate =
         rate(chipLaneCycles, chipBatchedSecs);
-    const double chipBatchedSpeedup =
-        chipScalarRate > 0.0 ? chipBatchedRate / chipScalarRate : 0.0;
     std::printf("%-22s %14s %10s\n", "chip sweep (8x4 cores)",
                 "chip-cycles/s", "speedup");
     std::printf("%-22s %14.6g %9.2fx\n", "scalar chips",

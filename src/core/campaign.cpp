@@ -141,8 +141,7 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
         rr.index = i;
         rr.name = job.name;
         RunSpec spec = job.spec;
-        if (opts_.deriveSeeds)
-            spec.noiseSeed = deriveRunSeed(opts_.campaignSeed, i);
+        spec.noiseSeed = deriveRunSeed(opts_.campaignSeed, i);
         rr.spec = spec;
         {
             // Detached: which worker executes run i is scheduling;

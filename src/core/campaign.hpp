@@ -72,7 +72,7 @@ struct CampaignResult
     double totalEnergyJ = 0.0;
     double minV = 0.0;             ///< 0 when the campaign is empty
     double maxV = 0.0;
-    RunningStat ipc;               ///< per-run IPC distribution
+    RunningStat ipc;               ///< mean of the per-run IPCs
     Histogram mergedHist{0.90, 1.10, 80};  ///< all runs' voltage samples
 
     /**
@@ -123,12 +123,6 @@ class CampaignEngine
         unsigned threads = 0;
         /** Root seed for per-run noise-seed derivation. */
         uint64_t campaignSeed = 0x5e11507;
-        /**
-         * Derive per-run seeds (the default). Disable only to
-         * reproduce single-run behaviour where every run shares
-         * RunSpec::noiseSeed verbatim.
-         */
-        bool deriveSeeds = true;
         /** Print a progress line as each run completes (--progress).
             Completion order is nondeterministic; artifacts are not. */
         bool progress = false;

@@ -71,16 +71,17 @@ namespace vguard::core {
 
 /**
  * Serialize a stats snapshot to the store's blob format (count, then
- * per entry: name/desc, kind, merge rule, values, optional dense
- * histogram). Written as the last section of every .vgt file.
+ * per entry: name/desc, kind, merge rule, both value slots and a
+ * histogram-flag byte that is always 0). Written as the last section
+ * of every .vgt file.
  */
 std::string encodeSnapshot(const obs::Snapshot &snap);
 
 /**
  * Rebuild a snapshot from a blob; false on any malformed field (short
- * read, unknown kind/rule, histogram payload on a non-Hist entry or
- * missing from a Hist one, inconsistent histogram totals, trailing
- * bytes). Never aborts on bad input.
+ * read, a kind other than Counter or Gauge, unknown merge rule, a
+ * nonzero histogram-flag byte, trailing bytes). Never aborts on bad
+ * input.
  */
 bool decodeSnapshot(const char *data, size_t size, obs::Snapshot &out);
 

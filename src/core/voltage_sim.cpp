@@ -15,7 +15,7 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
       vNominal_(cfg.package.vNominal),
       tracker_(cfg.package.vNominal * (1.0 - cfg.band),
                cfg.package.vNominal * (1.0 + cfg.band),
-               cfg.fingerprintWindow, cfg.maxEvents),
+               kFingerprintWindow, kMaxEvents),
       vMinSeen_(cfg.package.vNominal), vMaxSeen_(cfg.package.vNominal)
 {
     // Paper regulator convention: the die sits at nominal voltage when

@@ -64,12 +64,12 @@ struct VoltageSimConfig
     double histLo = 0.90;
     double histHi = 1.10;
     size_t histBins = 80;
-
-    /** Activity-fingerprint window per emergency event [cycles]. */
-    size_t fingerprintWindow = 32;
-    /** Emergency event-log capacity per run. */
-    size_t maxEvents = 4096;
 };
+
+/** Activity-fingerprint window per emergency event [cycles]. */
+constexpr size_t kFingerprintWindow = 32;
+/** Emergency event-log capacity per run. */
+constexpr size_t kMaxEvents = 4096;
 
 /** Results of a run: the rail tally (cycles, minV/maxV, emergency
     counts, voltage histogram) plus the core and controller side. */

@@ -55,46 +55,6 @@ opClass(Opcode op)
     }
 }
 
-const char *
-mnemonic(Opcode op)
-{
-    switch (op) {
-      case Opcode::NOP:    return "nop";
-      case Opcode::HALT:   return "halt";
-      case Opcode::ADDQ:   return "addq";
-      case Opcode::SUBQ:   return "subq";
-      case Opcode::AND:    return "and";
-      case Opcode::BIS:    return "bis";
-      case Opcode::XOR:    return "xor";
-      case Opcode::SLL:    return "sll";
-      case Opcode::SRL:    return "srl";
-      case Opcode::CMPEQ:  return "cmpeq";
-      case Opcode::CMPLT:  return "cmplt";
-      case Opcode::CMOVNE: return "cmovne";
-      case Opcode::LDIQ:   return "ldiq";
-      case Opcode::MULQ:   return "mulq";
-      case Opcode::DIVQ:   return "divq";
-      case Opcode::ADDT:   return "addt";
-      case Opcode::SUBT:   return "subt";
-      case Opcode::MULT:   return "mult";
-      case Opcode::DIVT:   return "divt";
-      case Opcode::CVTQT:  return "cvtqt";
-      case Opcode::LDIT:   return "ldit";
-      case Opcode::LDQ:    return "ldq";
-      case Opcode::STQ:    return "stq";
-      case Opcode::LDT:    return "ldt";
-      case Opcode::STT:    return "stt";
-      case Opcode::BR:     return "br";
-      case Opcode::BEQ:    return "beq";
-      case Opcode::BNE:    return "bne";
-      case Opcode::BLT:    return "blt";
-      case Opcode::BGE:    return "bge";
-      case Opcode::CALL:   return "call";
-      case Opcode::RET:    return "ret";
-      default:             return "???";
-    }
-}
-
 bool
 isLoad(Opcode op)
 {
@@ -118,24 +78,6 @@ isCondBranch(Opcode op)
 {
     return op == Opcode::BEQ || op == Opcode::BNE || op == Opcode::BLT ||
            op == Opcode::BGE;
-}
-
-bool
-isFp(Opcode op)
-{
-    switch (op) {
-      case Opcode::ADDT:
-      case Opcode::SUBT:
-      case Opcode::MULT:
-      case Opcode::DIVT:
-      case Opcode::CVTQT:
-      case Opcode::LDIT:
-      case Opcode::LDT:
-      case Opcode::STT:
-        return true;
-      default:
-        return false;
-    }
 }
 
 } // namespace vguard::isa

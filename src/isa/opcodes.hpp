@@ -82,9 +82,6 @@ constexpr uint8_t kNoReg = 0xff;
 /** Structural class of an opcode. */
 OpClass opClass(Opcode op);
 
-/** Mnemonic string (for disassembly / debug output). */
-const char *mnemonic(Opcode op);
-
 /** True for LDQ/LDT. */
 bool isLoad(Opcode op);
 /** True for STQ/STT. */
@@ -93,8 +90,6 @@ bool isStore(Opcode op);
 bool isControl(Opcode op);
 /** True for BEQ/BNE/BLT/BGE. */
 bool isCondBranch(Opcode op);
-/** True if the opcode reads/writes the FP register file. */
-bool isFp(Opcode op);
 
 } // namespace vguard::isa
 

@@ -1,94 +1,13 @@
 #include "isa/program.hpp"
 
 #include <bit>
-#include <cstdio>
 
 #include "util/logging.hpp"
 
 namespace vguard::isa {
 
-namespace {
-
-std::string
-regName(uint8_t unified)
+Program::Program(std::vector<StaticInst> insts) : insts_(std::move(insts))
 {
-    if (unified == kNoReg)
-        return "-";
-    char buf[8];
-    if (unified < kNumIntRegs)
-        std::snprintf(buf, sizeof(buf), "r%u", unified);
-    else
-        std::snprintf(buf, sizeof(buf), "f%u", unified - kNumIntRegs);
-    return buf;
-}
-
-} // namespace
-
-std::string
-StaticInst::disassemble() const
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s", mnemonic(op));
-    if (isCondBranch(op)) {
-        std::snprintf(buf, sizeof(buf), "%-7s %s, @%d", mnemonic(op),
-                      regName(rs1).c_str(), target);
-    } else if (op == Opcode::BR || op == Opcode::CALL) {
-        std::snprintf(buf, sizeof(buf), "%-7s @%d", mnemonic(op), target);
-    } else if (isLoad(op)) {
-        std::snprintf(buf, sizeof(buf), "%-7s %s, %lld(%s)", mnemonic(op),
-                      regName(rd).c_str(), static_cast<long long>(imm),
-                      regName(rs1).c_str());
-    } else if (isStore(op)) {
-        std::snprintf(buf, sizeof(buf), "%-7s %s, %lld(%s)", mnemonic(op),
-                      regName(rs2).c_str(), static_cast<long long>(imm),
-                      regName(rs1).c_str());
-    } else if (op == Opcode::LDIQ || op == Opcode::LDIT) {
-        std::snprintf(buf, sizeof(buf), "%-7s %s, #%lld", mnemonic(op),
-                      regName(rd).c_str(), static_cast<long long>(imm));
-    } else if (!isControl(op)) {
-        std::snprintf(buf, sizeof(buf), "%-7s %s, %s, %s", mnemonic(op),
-                      regName(rd).c_str(), regName(rs1).c_str(),
-                      regName(rs2).c_str());
-    }
-    return buf;
-}
-
-Program::Program(std::vector<StaticInst> insts,
-                 std::unordered_map<std::string, uint32_t> labels)
-    : insts_(std::move(insts)), labels_(std::move(labels))
-{
-}
-
-uint32_t
-Program::labelIndex(const std::string &label) const
-{
-    auto it = labels_.find(label);
-    if (it == labels_.end())
-        fatal("Program::labelIndex: undefined label '%s'", label.c_str());
-    return it->second;
-}
-
-std::string
-Program::disassemble() const
-{
-    std::string out;
-    char line[128];
-    for (uint32_t i = 0; i < size(); ++i) {
-        std::snprintf(line, sizeof(line), "%5u:  %s\n", i,
-                      insts_[i].disassemble().c_str());
-        out += line;
-    }
-    return out;
-}
-
-std::vector<uint32_t>
-Program::classHistogram() const
-{
-    std::vector<uint32_t> hist(
-        static_cast<size_t>(OpClass::Branch) + 1, 0);
-    for (const auto &si : insts_)
-        ++hist[static_cast<size_t>(si.cls())];
-    return hist;
 }
 
 ProgramBuilder &
@@ -261,7 +180,7 @@ ProgramBuilder::build()
         insts_[idx].target = static_cast<int32_t>(it->second);
     }
     fixups_.clear();
-    return Program(insts_, labels_);
+    return Program(insts_);
 }
 
 } // namespace vguard::isa

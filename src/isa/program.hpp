@@ -71,35 +71,21 @@ struct StaticInst
             out[n++] = rd;
         return n;
     }
-
-    /** Disassembly for debugging. */
-    std::string disassemble() const;
 };
 
-/** An assembled program: a flat instruction vector plus label map. */
+/** An assembled program: a flat instruction vector. */
 class Program
 {
   public:
     Program() = default;
-    Program(std::vector<StaticInst> insts,
-            std::unordered_map<std::string, uint32_t> labels);
+    explicit Program(std::vector<StaticInst> insts);
 
     const StaticInst &at(uint32_t idx) const { return insts_[idx]; }
     uint32_t size() const { return static_cast<uint32_t>(insts_.size()); }
     bool empty() const { return insts_.empty(); }
 
-    /** Index of @p label; fatal() if undefined. */
-    uint32_t labelIndex(const std::string &label) const;
-
-    /** Full multi-line disassembly. */
-    std::string disassemble() const;
-
-    /** Count of instructions in each structural class. */
-    std::vector<uint32_t> classHistogram() const;
-
   private:
     std::vector<StaticInst> insts_;
-    std::unordered_map<std::string, uint32_t> labels_;
 };
 
 /**

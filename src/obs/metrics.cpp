@@ -2,64 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <limits>
 
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::obs {
 
-const char *
-mergeRuleName(MergeRule rule)
-{
-    switch (rule) {
-      case MergeRule::Sum:  return "sum";
-      case MergeRule::Min:  return "min";
-      case MergeRule::Max:  return "max";
-      case MergeRule::Last: return "last";
-    }
-    return "???";
-}
-
-Gauge::Gauge() : v_(std::numeric_limits<double>::quiet_NaN()) {}
-
-HistStat::HistStat(double lo, double hi, size_t bins) : h_(lo, hi, bins)
-{
-}
-
-void
-HistStat::add(double x)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    h_.add(x);
-}
-
-Histogram
-HistStat::get() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return h_;
-}
-
 // ------------------------------------------------------------- Registry
-
-Registry::Registry() = default;
-Registry::~Registry() = default;
-
-struct Registry::Entry
-{
-    std::string desc;
-    MergeRule rule = MergeRule::Sum;
-    SnapshotEntry::Kind kind = SnapshotEntry::Kind::Counter;
-
-    // Exactly one of these is active, per kind / binding style.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistStat> hist;
-    std::function<uint64_t()> counterFn;
-    std::function<double()> gaugeFn;
-};
 
 void
 Registry::checkName(const std::string &name) const
@@ -101,68 +50,26 @@ Registry::checkName(const std::string &name) const
     }
 }
 
-Registry::Entry &
-Registry::add(std::string name, std::string desc, MergeRule rule)
+void
+Registry::add(std::string name, Entry entry)
 {
-    // Must be called with m_ held.
+    std::lock_guard<std::mutex> lock(m_);
     checkName(name);
-    auto entry = std::make_unique<Entry>();
-    entry->desc = std::move(desc);
-    entry->rule = rule;
-    Entry &ref = *entry;
     entries_.emplace(std::move(name), std::move(entry));
-    return ref;
-}
-
-Counter &
-Registry::counter(std::string name, std::string desc, MergeRule rule)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Counter;
-    e.counter = std::make_unique<Counter>();
-    return *e.counter;
-}
-
-Gauge &
-Registry::gauge(std::string name, std::string desc, MergeRule rule)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Gauge;
-    e.gauge = std::make_unique<Gauge>();
-    return *e.gauge;
-}
-
-HistStat &
-Registry::histogram(std::string name, std::string desc, double lo,
-                    double hi, size_t bins)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), MergeRule::Sum);
-    e.kind = SnapshotEntry::Kind::Hist;
-    e.hist = std::make_unique<HistStat>(lo, hi, bins);
-    return *e.hist;
 }
 
 void
 Registry::derivedCounter(std::string name, std::string desc,
                          std::function<uint64_t()> fn, MergeRule rule)
 {
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Counter;
-    e.counterFn = std::move(fn);
+    add(std::move(name), Entry{std::move(desc), rule, std::move(fn), {}});
 }
 
 void
 Registry::derivedGauge(std::string name, std::string desc,
                        std::function<double()> fn, MergeRule rule)
 {
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Gauge;
-    e.gaugeFn = std::move(fn);
+    add(std::move(name), Entry{std::move(desc), rule, {}, std::move(fn)});
 }
 
 size_t
@@ -182,19 +89,14 @@ Registry::snapshot() const
     for (const auto &[name, e] : entries_) {
         SnapshotEntry out;
         out.name = name;
-        out.desc = e->desc;
-        out.kind = e->kind;
-        out.rule = e->rule;
-        switch (e->kind) {
-          case SnapshotEntry::Kind::Counter:
-            out.u = e->counter ? e->counter->get() : e->counterFn();
-            break;
-          case SnapshotEntry::Kind::Gauge:
-            out.d = e->gauge ? e->gauge->get() : e->gaugeFn();
-            break;
-          case SnapshotEntry::Kind::Hist:
-            out.hist = std::make_shared<const Histogram>(e->hist->get());
-            break;
+        out.desc = e.desc;
+        out.rule = e.rule;
+        if (e.counterFn) {
+            out.kind = SnapshotEntry::Kind::Counter;
+            out.u = e.counterFn();
+        } else {
+            out.kind = SnapshotEntry::Kind::Gauge;
+            out.d = e.gaugeFn();
         }
         // vlint: allow(alloc-hot) snapshot materialization, run start/end only
         s.entries_.push_back(std::move(out));
@@ -242,29 +144,6 @@ combineCounter(uint64_t mine, uint64_t theirs, MergeRule rule)
       case MergeRule::Last: return theirs;
     }
     return theirs;
-}
-
-void
-emitHist(JsonWriter &w, const Histogram &h)
-{
-    w.beginObject();
-    w.field("lo", h.lo());
-    w.field("hi", h.hi());
-    w.field("bins", static_cast<uint64_t>(h.bins()));
-    w.field("underflow", h.underflow());
-    w.field("overflow", h.overflow());
-    w.field("total", h.total());
-    w.key("counts").beginArray();
-    for (size_t i = 0; i < h.bins(); ++i) {
-        if (h.count(i) == 0)
-            continue;
-        w.beginArray()
-            .value(static_cast<uint64_t>(i))
-            .value(h.count(i))
-            .endArray();
-    }
-    w.endArray();
-    w.endObject();
 }
 
 std::vector<std::string_view>
@@ -350,18 +229,6 @@ Snapshot::setGauge(std::string name, double value, MergeRule rule,
 }
 
 void
-Snapshot::setHist(std::string name, Histogram hist, std::string desc)
-{
-    SnapshotEntry e;
-    e.name = std::move(name);
-    e.desc = std::move(desc);
-    e.kind = SnapshotEntry::Kind::Hist;
-    e.rule = MergeRule::Sum;
-    e.hist = std::make_shared<const Histogram>(std::move(hist));
-    upsert(std::move(e));
-}
-
-void
 Snapshot::merge(const Snapshot &other)
 {
     for (const SnapshotEntry &theirs : other.entries_) {
@@ -376,22 +243,10 @@ Snapshot::merge(const Snapshot &other)
         if (mine.kind != theirs.kind)
             fatal("Snapshot::merge: kind mismatch on '%s'",
                   mine.name.c_str());
-        switch (mine.kind) {
-          case SnapshotEntry::Kind::Counter:
+        if (mine.kind == SnapshotEntry::Kind::Counter)
             mine.u = combineCounter(mine.u, theirs.u, mine.rule);
-            break;
-          case SnapshotEntry::Kind::Gauge:
+        else
             mine.d = combineGauge(mine.d, theirs.d, mine.rule);
-            break;
-          case SnapshotEntry::Kind::Hist: {
-            // Clone before merging: hist payloads are shared between
-            // snapshot copies.
-            Histogram h = *mine.hist;
-            h.merge(*theirs.hist);
-            mine.hist = std::make_shared<const Histogram>(std::move(h));
-            break;
-          }
-        }
     }
 }
 
@@ -431,11 +286,10 @@ Snapshot::json() const
             open.push_back(parts[i]);
         }
         w.key(parts.back());
-        switch (e.kind) {
-          case SnapshotEntry::Kind::Counter: w.value(e.u); break;
-          case SnapshotEntry::Kind::Gauge:   w.value(e.d); break;
-          case SnapshotEntry::Kind::Hist:    emitHist(w, *e.hist); break;
-        }
+        if (e.kind == SnapshotEntry::Kind::Counter)
+            w.value(e.u);
+        else
+            w.value(e.d);
     }
     while (!open.empty()) {
         w.endObject();
@@ -443,45 +297,6 @@ Snapshot::json() const
     }
     w.endObject();
     return w.take();
-}
-
-std::string
-Snapshot::table() const
-{
-    size_t nameWidth = 4;
-    for (const SnapshotEntry &e : entries_)
-        nameWidth = std::max(nameWidth, e.name.size());
-
-    std::string out;
-    char line[512];
-    for (const SnapshotEntry &e : entries_) {
-        std::string value;
-        switch (e.kind) {
-          case SnapshotEntry::Kind::Counter:
-            value = std::to_string(e.u);
-            break;
-          case SnapshotEntry::Kind::Gauge: {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.6g", e.d);
-            value = buf;
-            break;
-          }
-          case SnapshotEntry::Kind::Hist: {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "hist[%zu] total=%llu", e.hist->bins(),
-                          static_cast<unsigned long long>(
-                              e.hist->total()));
-            value = buf;
-            break;
-          }
-        }
-        std::snprintf(line, sizeof(line), "%-*s  %16s  %s\n",
-                      static_cast<int>(nameWidth), e.name.c_str(),
-                      value.c_str(), e.desc.c_str());
-        out += line;
-    }
-    return out;
 }
 
 } // namespace vguard::obs

@@ -6,18 +6,18 @@
  * members (zero per-cycle overhead) and *binds* them into a Registry
  * under a dotted group name — `cpu.commit.insts`,
  * `power.ialu.energy_j`, `pdn.emergencies.count`,
- * `ctrl.actuator.gated_cycles` — via a `registerStats()` method. The
- * registry is the uniform, inspectable view: a Snapshot freezes every
- * value, snapshots diff/merge deterministically (submission order in
- * campaigns), and export as canonical JSON (one nested object per
- * dotted group) or a human-readable table.
+ * `ctrl.actuator.gated_cycles` — via a `registerStats()` method. Every
+ * entry is a bound counter or a bound gauge: a callback the registry
+ * evaluates at snapshot time. The registry is the uniform, inspectable
+ * view: a Snapshot freezes every value, snapshots diff/merge
+ * deterministically (submission order in campaigns), and export as
+ * canonical JSON (one nested object per dotted group).
  *
- * Thread-safety: registration and snapshot are mutex-guarded, and
- * registry-owned counters/gauges are atomic, so a registry may be
- * shared across campaign workers. Derived (callback-bound) entries
+ * Thread-safety: registration and snapshot are mutex-guarded, so a
+ * registry may be shared across campaign workers. The bound callbacks
  * read component members and are safe whenever the component itself
- * is — in this codebase each run owns its components, so derived
- * reads happen on the owning thread only.
+ * is — in this codebase each run owns its components, so snapshots
+ * happen on the owning thread only.
  *
  * Determinism: a Snapshot's entries are sorted by name and rendered
  * with the deterministic JsonWriter, so equal values always produce
@@ -29,81 +29,30 @@
 #ifndef VGUARD_OBS_METRICS_HPP
 #define VGUARD_OBS_METRICS_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/stats.hpp"
 
 namespace vguard::obs {
 
 /** How a value combines when snapshots of parallel runs merge. */
 enum class MergeRule : uint8_t { Sum, Min, Max, Last };
 
-/** Printable merge-rule name (for table export). */
-const char *mergeRuleName(MergeRule rule);
-
-/** Registry-owned monotonic counter (atomic; relaxed). */
-class Counter
-{
-  public:
-    void inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-    void set(uint64_t n) { v_.store(n, std::memory_order_relaxed); }
-    uint64_t get() const { return v_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<uint64_t> v_{0};
-};
-
-/**
- * Registry-owned gauge. Starts as NaN ("no sample yet") — the JSON
- * export renders non-finite values as string sentinels, never invalid
- * tokens (see util/jsonl.cpp).
- */
-class Gauge
-{
-  public:
-    Gauge();
-    void set(double x) { v_.store(x, std::memory_order_relaxed); }
-    double get() const { return v_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> v_;
-};
-
-/** Registry-owned histogram (mutex-guarded add/merge). */
-class HistStat
-{
-  public:
-    HistStat(double lo, double hi, size_t bins);
-
-    void add(double x);
-    /** Copy of the current contents. */
-    Histogram get() const;
-
-  private:
-    mutable std::mutex m_;
-    Histogram h_;
-};
-
 /** One frozen stat value. */
 struct SnapshotEntry
 {
-    enum class Kind : uint8_t { Counter, Gauge, Hist };
+    enum class Kind : uint8_t { Counter, Gauge };
 
     std::string name;
     std::string desc;
     Kind kind = Kind::Counter;
     MergeRule rule = MergeRule::Sum;
-    uint64_t u = 0;                          ///< Kind::Counter
-    double d = 0.0;                          ///< Kind::Gauge
-    std::shared_ptr<const Histogram> hist;   ///< Kind::Hist
+    uint64_t u = 0;    ///< Kind::Counter
+    double d = 0.0;    ///< Kind::Gauge
 };
 
 /**
@@ -141,8 +90,6 @@ class Snapshot
     void setGauge(std::string name, double value,
                   MergeRule rule = MergeRule::Last,
                   std::string desc = "");
-    void setHist(std::string name, Histogram hist,
-                 std::string desc = "");
 
     /**
      * Merge @p other into this snapshot entry-by-entry using each
@@ -155,21 +102,16 @@ class Snapshot
 
     /**
      * Interval semantics: counters become `this - earlier` (clamped
-     * at 0); gauges and histograms keep this snapshot's value.
+     * at 0); gauges keep this snapshot's value.
      * Entries absent from @p earlier pass through unchanged.
      */
     Snapshot diff(const Snapshot &earlier) const;
 
     /**
      * Canonical JSON: one nested object per dotted group, keys in
-     * sorted order, deterministic bytes for equal values. Histograms
-     * render as {lo, hi, bins, underflow, overflow, total, counts}
-     * with sparse [bin, count] pairs.
+     * sorted order, deterministic bytes for equal values.
      */
     std::string json() const;
-
-    /** Human-readable aligned `name  value  description` table. */
-    std::string table() const;
 
   private:
     friend class Registry;
@@ -183,30 +125,15 @@ class Snapshot
 class Registry
 {
   public:
-    // Both out-of-line: Entry is incomplete here, and inline
-    // defaulted special members would instantiate the map's cleanup
-    // paths against it.
-    Registry();
-    ~Registry();
+    Registry() = default;
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
-
-    /** Register an owned counter; fatal on duplicate/conflicting name. */
-    Counter &counter(std::string name, std::string desc,
-                     MergeRule rule = MergeRule::Sum);
-
-    /** Register an owned gauge (starts NaN until first set()). */
-    Gauge &gauge(std::string name, std::string desc,
-                 MergeRule rule = MergeRule::Last);
-
-    /** Register an owned histogram. */
-    HistStat &histogram(std::string name, std::string desc, double lo,
-                        double hi, size_t bins);
 
     /**
      * Bind a component-owned counter: @p fn is evaluated at snapshot
      * time (the gem5 pattern — members stay on the hot path, the
-     * registry is the reporting surface).
+     * registry is the reporting surface). Fatal on a duplicate or
+     * conflicting name.
      */
     void derivedCounter(std::string name, std::string desc,
                         std::function<uint64_t()> fn,
@@ -217,15 +144,6 @@ class Registry
                       std::function<double()> fn,
                       MergeRule rule = MergeRule::Last);
 
-    /** Alias for derivedGauge — reads as "registry formula". */
-    void
-    formula(std::string name, std::string desc,
-            std::function<double()> fn, MergeRule rule = MergeRule::Last)
-    {
-        derivedGauge(std::move(name), std::move(desc), std::move(fn),
-                     rule);
-    }
-
     /** Number of registered entries. */
     size_t size() const;
 
@@ -233,14 +151,21 @@ class Registry
     Snapshot snapshot() const;
 
   private:
-    struct Entry;
+    /** One binding; exactly one of the callbacks is set. */
+    struct Entry
+    {
+        std::string desc;
+        MergeRule rule = MergeRule::Sum;
+        std::function<uint64_t()> counterFn;
+        std::function<double()> gaugeFn;
+    };
 
     /** Validates charset and hierarchy (no leaf/group collisions). */
     void checkName(const std::string &name) const;
-    Entry &add(std::string name, std::string desc, MergeRule rule);
+    void add(std::string name, Entry entry);
 
     mutable std::mutex m_;
-    std::map<std::string, std::unique_ptr<Entry>> entries_;
+    std::map<std::string, Entry> entries_;
 };
 
 } // namespace vguard::obs

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "util/logging.hpp"
@@ -11,56 +10,9 @@ namespace vguard {
 void
 RunningStat::add(double x)
 {
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 Histogram::Histogram(double lo, double hi, size_t bins)
@@ -103,27 +55,6 @@ Histogram::merge(const Histogram &other)
     underflow_ += other.underflow_;
     overflow_ += other.overflow_;
     total_ += other.total_;
-}
-
-Histogram
-Histogram::restore(double lo, double hi, std::vector<uint64_t> counts,
-                   uint64_t underflow, uint64_t overflow,
-                   uint64_t total)
-{
-    Histogram h(lo, hi, counts.size());
-    uint64_t sum = underflow + overflow;
-    for (const uint64_t c : counts)
-        sum += c;
-    if (sum != total)
-        fatal("Histogram::restore: inconsistent totals (%llu counted "
-              "vs %llu recorded)",
-              static_cast<unsigned long long>(sum),
-              static_cast<unsigned long long>(total));
-    h.counts_ = std::move(counts);
-    h.underflow_ = underflow;
-    h.overflow_ = overflow;
-    h.total_ = total;
-    return h;
 }
 
 double

@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming statistics: RunningStat (Welford), fixed-bin Histogram and
- * the per-rail emergency-band RailTally.
+ * Streaming statistics: RunningStat (Welford mean), fixed-bin
+ * Histogram and the per-rail emergency-band RailTally.
  *
  * These are used for the voltage-distribution characterisation (Fig. 10),
  * emergency-frequency accounting (Table 2) and general simulator stats.
@@ -18,34 +18,22 @@
 
 namespace vguard {
 
-/** Single-pass mean/variance/min/max accumulator (Welford's algorithm). */
+/** Single-pass running mean (Welford's update). */
 class RunningStat
 {
   public:
     /** Add one sample. */
     void add(double x);
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
     /** Remove all samples. */
-    void reset();
+    void reset() { *this = RunningStat(); }
 
     uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
-    /** Population variance (0 with fewer than 2 samples). */
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return mean_ * static_cast<double>(n_); }
 
   private:
     uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**
@@ -70,18 +58,6 @@ class Histogram
      * identical lo/hi/bin geometry (fatal otherwise).
      */
     void merge(const Histogram &other);
-
-    /**
-     * Rebuild a histogram from serialized parts (the trace-store
-     * stats blob). @p total must equal
-     * the sum of @p counts plus @p underflow plus @p overflow — add()
-     * maintains that invariant, so a mismatch means a corrupt stream
-     * (fatal). @p counts must be non-empty.
-     */
-    static Histogram restore(double lo, double hi,
-                             std::vector<uint64_t> counts,
-                             uint64_t underflow, uint64_t overflow,
-                             uint64_t total);
 
     /** Number of in-range bins. */
     size_t bins() const { return counts_.size(); }

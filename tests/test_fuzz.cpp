@@ -28,7 +28,6 @@
 #include "pdn/pdn_backend.hpp"
 #include "pdn/package_model.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
@@ -339,7 +338,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendFuzz,
 
 // ------------------------------------- trace-store snapshot decoding
 
-/** A random stats snapshot: counters, gauges and one histogram. */
+/** A random stats snapshot: counters and gauges. */
 obs::Snapshot
 randomSnapshot(Rng &rng)
 {
@@ -350,18 +349,15 @@ randomSnapshot(Rng &rng)
                         static_cast<obs::MergeRule>(rng.below(4)),
                         "counter " + std::to_string(i));
     snap.setGauge("pdn.g", rng.uniform(-2.0, 2.0), obs::MergeRule::Min);
-    Histogram h(0.9, 1.1, 1 + rng.below(24));
-    const unsigned samples = rng.below(200);
-    for (unsigned i = 0; i < samples; ++i)
-        h.add(rng.uniform(0.85, 1.15));
-    snap.setHist("pdn.voltage", std::move(h), "supply voltage");
+    snap.setGauge("pdn.voltage", rng.uniform(0.85, 1.15),
+                  obs::MergeRule::Last, "supply voltage");
     return snap;
 }
 
 /**
  * Offsets of every length/count field in an encodeSnapshot() blob:
- * the entry count, each name/desc length and each histogram's bin
- * count. Walks the layout documented beside the encoder.
+ * the entry count and each name/desc length. Walks the layout
+ * documented beside the encoder.
  */
 std::vector<size_t>
 lengthFieldOffsets(const std::string &blob)
@@ -379,12 +375,7 @@ lengthFieldOffsets(const std::string &blob)
             out.push_back(at);
             at += 8 + u64At(at);
         }
-        at += 1 + 1 + 8 + 8;  // kind, rule, u, d
-        if (blob[at++] != 0) {
-            at += 16;  // lo, hi
-            out.push_back(at);
-            at += 8 + 8 * u64At(at) + 24;  // bins, counts, u/o/total
-        }
+        at += 1 + 1 + 8 + 8 + 1;  // kind, rule, u, d, histogram flag
     }
     return out;
 }
@@ -454,7 +445,6 @@ TEST_P(SnapshotFuzz, MutatedBlobsRejectOrRoundTrip)
         ASSERT_EQ(core::encodeSnapshot(back), again)
             << "iteration " << iter;
         EXPECT_EQ(back.json(), got.json()) << "iteration " << iter;
-        EXPECT_EQ(back.table(), got.table()) << "iteration " << iter;
     }
     // Flips inside names and values stay well-formed, so the
     // round-trip branch is always exercised.

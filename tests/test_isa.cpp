@@ -5,8 +5,6 @@
  * the CMOVNE three-source case from the paper's stressmark loop.
  */
 
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "isa/executor.hpp"
@@ -41,16 +39,6 @@ TEST(Opcodes, Predicates)
     EXPECT_TRUE(isControl(Opcode::CALL));
     EXPECT_TRUE(isCondBranch(Opcode::BGE));
     EXPECT_FALSE(isCondBranch(Opcode::BR));
-    EXPECT_TRUE(isFp(Opcode::DIVT));
-    EXPECT_FALSE(isFp(Opcode::DIVQ));
-    EXPECT_TRUE(isFp(Opcode::LDT));
-}
-
-TEST(Opcodes, MnemonicsDistinct)
-{
-    EXPECT_STREQ(mnemonic(Opcode::ADDQ), "addq");
-    EXPECT_STREQ(mnemonic(Opcode::DIVT), "divt");
-    EXPECT_STRNE(mnemonic(Opcode::LDQ), mnemonic(Opcode::LDT));
 }
 
 TEST(StaticInst, SourcesSkipZeroRegs)
@@ -136,7 +124,6 @@ TEST(ProgramBuilder, LabelsResolveForward)
     b.br("end").nop().label("end").halt();
     const Program p = b.build();
     EXPECT_EQ(p.at(0).target, 2);
-    EXPECT_EQ(p.labelIndex("end"), 2u);
 }
 
 TEST(ProgramBuilder, UndefinedLabelFatal)
@@ -151,27 +138,6 @@ TEST(ProgramBuilder, DuplicateLabelFatal)
     ProgramBuilder b;
     b.label("x");
     EXPECT_EXIT(b.label("x"), ::testing::ExitedWithCode(1), "duplicate");
-}
-
-TEST(Program, ClassHistogram)
-{
-    ProgramBuilder b;
-    b.addq(1, 2, 3).divt(1, 2, 3).ldq(4, 5, 0).halt();
-    const auto hist = b.build().classHistogram();
-    EXPECT_EQ(hist[static_cast<size_t>(OpClass::IntAlu)], 1u);
-    EXPECT_EQ(hist[static_cast<size_t>(OpClass::FpDiv)], 1u);
-    EXPECT_EQ(hist[static_cast<size_t>(OpClass::Load)], 1u);
-    EXPECT_EQ(hist[static_cast<size_t>(OpClass::Nop)], 1u);
-}
-
-TEST(Program, DisassembleMentionsMnemonics)
-{
-    ProgramBuilder b;
-    b.ldq(1, 2, 16).stq(3, 4, -8).beq(5, "top").label("top").halt();
-    const std::string d = b.build().disassemble();
-    EXPECT_NE(d.find("ldq"), std::string::npos);
-    EXPECT_NE(d.find("stq"), std::string::npos);
-    EXPECT_NE(d.find("beq"), std::string::npos);
 }
 
 Program

@@ -6,7 +6,6 @@
  * event capture on an emergency-producing workload).
  */
 
-#include <cmath>
 #include <limits>
 #include <string>
 
@@ -27,30 +26,6 @@ using namespace vguard::obs;
 
 // ------------------------------------------------------------ registry
 
-TEST(Registry, OwnedCounterAndGaugeRoundTrip)
-{
-    Registry r;
-    Counter &c = r.counter("cpu.commit.insts", "committed");
-    Gauge &g = r.gauge("cpu.commit.ipc", "ipc");
-    c.inc(41);
-    c.inc();
-    g.set(1.25);
-    const Snapshot s = r.snapshot();
-    EXPECT_EQ(s.counterValue("cpu.commit.insts"), 42u);
-    EXPECT_DOUBLE_EQ(s.gaugeValue("cpu.commit.ipc"), 1.25);
-    EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(Registry, GaugeStartsNaN)
-{
-    Registry r;
-    r.gauge("g", "unsampled");
-    const Snapshot s = r.snapshot();
-    const SnapshotEntry *e = s.find("g");
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(std::isnan(e->d));
-}
-
 TEST(Registry, DerivedEntriesReadAtSnapshotTime)
 {
     Registry r;
@@ -68,44 +43,39 @@ TEST(Registry, DerivedEntriesReadAtSnapshotTime)
     EXPECT_EQ(s.counterValue("cache.hits"), 9u);
 }
 
-TEST(Registry, HistogramSnapshotIsFrozenCopy)
+/** A derived counter that always reads 0, for name-validation tests. */
+void
+bindZero(Registry &r, const std::string &name)
 {
-    Registry r;
-    HistStat &h = r.histogram("pdn.v", "voltage", 0.9, 1.1, 10);
-    h.add(1.0);
-    const Snapshot s1 = r.snapshot();
-    h.add(1.0);
-    const SnapshotEntry *e = s1.find("pdn.v");
-    ASSERT_NE(e, nullptr);
-    ASSERT_NE(e->hist, nullptr);
-    EXPECT_EQ(e->hist->total(), 1u); // not affected by the later add
+    r.derivedCounter(name, "", [] { return uint64_t{0}; });
 }
 
 TEST(Registry, RejectsDuplicateNames)
 {
     Registry r;
-    r.counter("a.b", "first");
-    EXPECT_EXIT(r.counter("a.b", "again"),
+    bindZero(r, "a.b");
+    EXPECT_EXIT(bindZero(r, "a.b"), ::testing::ExitedWithCode(1),
+                "duplicate");
+    // A gauge cannot take a counter's name either.
+    EXPECT_EXIT(r.derivedGauge("a.b", "", [] { return 0.0; }),
                 ::testing::ExitedWithCode(1), "duplicate");
 }
 
 TEST(Registry, RejectsLeafGroupCollision)
 {
     Registry r;
-    r.counter("a.b", "leaf");
+    bindZero(r, "a.b");
     // "a.b" is a leaf; "a.b.c" would make it a group too.
-    EXPECT_EXIT(r.counter("a.b.c", "child"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(bindZero(r, "a.b.c"), ::testing::ExitedWithCode(1), "");
 }
 
 TEST(Registry, RejectsBadCharactersAndEmptySegments)
 {
     Registry r;
-    EXPECT_EXIT(r.counter("Has.Upper", ""),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(r.counter("a..b", ""), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(bindZero(r, "Has.Upper"), ::testing::ExitedWithCode(1),
                 "");
-    EXPECT_EXIT(r.counter("", ""), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(bindZero(r, "a..b"), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(bindZero(r, ""), ::testing::ExitedWithCode(1), "");
 }
 
 // ------------------------------------------------------------ snapshot
@@ -230,16 +200,6 @@ TEST(Snapshot, JsonNestsDottedGroups)
         << j;
     // Deterministic: same content, same bytes.
     EXPECT_EQ(j, s.json());
-}
-
-TEST(Snapshot, TableListsNamesAndValues)
-{
-    Snapshot s;
-    s.setCounter("cpu.cycles", 123, MergeRule::Sum, "total cycles");
-    const std::string t = s.table();
-    EXPECT_NE(t.find("cpu.cycles"), std::string::npos);
-    EXPECT_NE(t.find("123"), std::string::npos);
-    EXPECT_NE(t.find("total cycles"), std::string::npos);
 }
 
 // -------------------------------------------------------------- events

@@ -38,7 +38,6 @@
 #include "core/voltage_sim.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "util/stats.hpp"
 #include "workloads/spec_proxy.hpp"
 
 namespace {
@@ -284,34 +283,82 @@ TEST(TraceStoreValidation, CorruptFilesWarnAndRecapture)
     fs::remove_all(dir);
 }
 
+/** Append @p v's bytes to @p blob in the codec's host layout. */
+template <typename T>
+void
+putRaw(std::string &blob, T v)
+{
+    blob.append(reinterpret_cast<const char *>(&v), sizeof v);
+}
+
+/**
+ * A one-entry stats blob, written byte by byte in the layout of a
+ * histogram-carrying entry: u64 count, u64 + name, u64 + desc, u8
+ * kind, u8 merge rule, u64 counter value, f64 gauge value, u8
+ * histogram flag, then (flag 1 only) f64 lo, f64 hi, u64 bins, the bin
+ * counts and u64 underflow/overflow/total — here consistent totals
+ * (1 + 2 + 1 underflow = 4).
+ */
+std::string
+entryBlob(uint8_t kind, uint8_t histFlag)
+{
+    const std::string name = "pdn.v";
+    std::string blob;
+    putRaw<uint64_t>(blob, 1);
+    putRaw<uint64_t>(blob, name.size());
+    blob += name;
+    putRaw<uint64_t>(blob, 0);  // empty desc
+    putRaw<uint8_t>(blob, kind);
+    putRaw<uint8_t>(blob, 0);   // MergeRule::Sum
+    putRaw<uint64_t>(blob, 0);
+    putRaw<double>(blob, 0.0);
+    putRaw<uint8_t>(blob, histFlag);
+    if (histFlag != 0) {
+        putRaw<double>(blob, 0.9);
+        putRaw<double>(blob, 1.1);
+        putRaw<uint64_t>(blob, 4);
+        for (const uint64_t count : {1, 0, 2, 0})
+            putRaw<uint64_t>(blob, count);
+        putRaw<uint64_t>(blob, 1);  // underflow
+        putRaw<uint64_t>(blob, 0);  // overflow
+        putRaw<uint64_t>(blob, 4);  // total
+    }
+    return blob;
+}
+
+bool
+decodes(const std::string &blob)
+{
+    obs::Snapshot out;
+    return decodeSnapshot(blob.data(), blob.size(), out);
+}
+
 TEST(TraceStoreValidation, SnapshotKindMustMatchHistPayload)
 {
-    // Regression: decodeSnapshot accepted a Hist-kind entry without a
-    // histogram payload, and rendering the snapshot then dereferenced
-    // a null histogram. Blob layout: u64 count, then per entry u64 +
-    // name, u64 + desc, u8 kind, ...
-    const auto kindOffset = [](const std::string &name) {
-        return 8 + 8 + name.size() + 8;  // empty desc
-    };
+    // Regression: decodeSnapshot once accepted a histogram-kind entry
+    // (kind byte 2) without a histogram payload, and rendering the
+    // snapshot then dereferenced a null histogram.
     obs::Snapshot counter;
-    counter.setCounter("cpu.cycles", 7);
-    std::string blob = encodeSnapshot(counter);
-    const size_t counterKind = kindOffset("cpu.cycles");
-    ASSERT_EQ(blob[counterKind],
-              static_cast<char>(obs::SnapshotEntry::Kind::Counter));
-    blob[counterKind] = static_cast<char>(obs::SnapshotEntry::Kind::Hist);
-    obs::Snapshot out;
-    EXPECT_FALSE(decodeSnapshot(blob.data(), blob.size(), out));
+    counter.setCounter("pdn.v", 0);
+    const std::string valid = encodeSnapshot(counter);
+    ASSERT_EQ(valid, entryBlob(0, 0));  // the hand-built layout is real
+    EXPECT_TRUE(decodes(valid));
+    EXPECT_FALSE(decodes(entryBlob(2, 0)));
 
-    // The reverse: a counter entry carrying a histogram payload.
-    obs::Snapshot hist;
-    hist.setHist("pdn.v", Histogram(0.9, 1.1, 4));
-    blob = encodeSnapshot(hist);
-    const size_t histKind = kindOffset("pdn.v");
-    ASSERT_EQ(blob[histKind],
-              static_cast<char>(obs::SnapshotEntry::Kind::Hist));
-    blob[histKind] = static_cast<char>(obs::SnapshotEntry::Kind::Counter);
-    EXPECT_FALSE(decodeSnapshot(blob.data(), blob.size(), out));
+    // The reverse: a counter or gauge entry carrying a histogram flag
+    // (with a well-formed payload behind it).
+    EXPECT_FALSE(decodes(entryBlob(0, 1)));
+    EXPECT_FALSE(decodes(entryBlob(1, 1)));
+}
+
+TEST(TraceStoreValidation, SnapshotRejectsHistogramEntries)
+{
+    // Stats are counters and gauges: a histogram entry is rejected
+    // even when its payload is well formed, as is any kind past Gauge.
+    EXPECT_FALSE(decodes(entryBlob(2, 1)));
+    EXPECT_FALSE(decodes(entryBlob(3, 0)));
+    EXPECT_FALSE(decodes(entryBlob(0xff, 0)));
+    EXPECT_TRUE(decodes(entryBlob(1, 0)));
 }
 
 // ----------------------------------------------------------- eviction
