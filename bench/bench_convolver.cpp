@@ -16,7 +16,6 @@
  * BENCH_convolver.json in the current directory.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "obs/tracing.hpp"
 #include "pdn/impulse.hpp"
 #include "pdn/package_model.hpp"
 #include "pdn/partitioned_convolver.hpp"
@@ -69,14 +69,11 @@ template <typename Sim>
 double
 timeSteps(Sim &sim, const std::vector<double> &amps, double &sink)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const obs::StopWatch watch;
     double acc = 0.0;
     for (double a : amps)
         acc += sim.step(a);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    const double secs = watch.seconds();
     sink += acc;  // defeat dead-code elimination
     return secs > 0.0 ? static_cast<double>(amps.size()) / secs : 0.0;
 }

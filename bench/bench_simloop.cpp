@@ -40,7 +40,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -71,11 +70,9 @@ template <typename Fn>
 double
 timeIt(Fn &&fn)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const obs::StopWatch watch;
     fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return watch.seconds();
 }
 
 /** cycles / seconds with div-by-zero guard. */

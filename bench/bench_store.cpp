@@ -86,7 +86,6 @@ main(int argc, char **argv)
     TraceStore &store = TraceStore::instance();
     TraceCache &cache = TraceCache::instance();
     store.configure(storeDir.string(), size_t{1} << 30);
-    cache.setEnabled(true);
 
     // Warm the shared experiment caches (target impedance, current
     // range) outside the timed region: both passes need them.

@@ -15,10 +15,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiments.hpp"
 #include "core/threshold_solver.hpp"
+#include "example_args.hpp"
 #include "pdn/impulse.hpp"
 #include "pdn/target_impedance.hpp"
 #include "util/table.hpp"
@@ -30,9 +30,15 @@ int
 main(int argc, char **argv)
 {
     const double f0 =
-        (argc > 1 ? std::strtod(argv[1], nullptr) : 50.0) * 1e6;
+        (argc > 1 ? examples::positiveRealArg(
+                        "package_design: resonance_mhz", argv[1])
+                  : 50.0) *
+        1e6;
     const double band =
-        (argc > 2 ? std::strtod(argv[2], nullptr) : 5.0) / 100.0;
+        (argc > 2 ? examples::positiveRealArg(
+                        "package_design: band_percent", argv[2])
+                  : 5.0) /
+        100.0;
 
     // 1. Processor characterisation.
     const auto &range = referenceCurrentRange();

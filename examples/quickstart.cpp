@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiments.hpp"
+#include "example_args.hpp"
 #include "workloads/stressmark.hpp"
 
 using namespace vguard;
@@ -26,7 +26,8 @@ int
 main(int argc, char **argv)
 {
     const uint64_t cycles =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100000;
+        argc > 1 ? examples::positiveCountArg("quickstart: cycles", argv[1])
+                 : 100000;
 
     // 1. Machine + package calibration (cached helpers).
     const auto &target = referenceTarget();

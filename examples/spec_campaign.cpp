@@ -15,10 +15,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "core/campaign.hpp"
 #include "core/experiments.hpp"
+#include "example_args.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 #include "workloads/spec_proxy.hpp"
 
@@ -31,13 +33,18 @@ main(int argc, char **argv)
     const CampaignCli cli = parseCampaignCli(argc, argv);
     const double scale =
         cli.positional.size() > 0
-            ? std::strtod(cli.positional[0].c_str(), nullptr)
+            ? examples::positiveRealArg("spec_campaign: impedance_scale",
+                                        cli.positional[0].c_str())
             : 2.0;
-    const unsigned delay =
+    const uint64_t delayArg =
         cli.positional.size() > 1
-            ? static_cast<unsigned>(
-                  std::strtoul(cli.positional[1].c_str(), nullptr, 10))
+            ? examples::countArg("spec_campaign: delay_cycles",
+                                 cli.positional[1].c_str())
             : 2;
+    if (delayArg > std::numeric_limits<unsigned>::max())
+        fatal("spec_campaign: delay_cycles: out of range: '%s'",
+              cli.positional[1].c_str());
+    const unsigned delay = static_cast<unsigned>(delayArg);
 
     std::printf("package: %.0f%% of target impedance; sensor delay %u "
                 "cycles; FU/DL1/IL1 actuator\n\n",
@@ -78,16 +85,6 @@ main(int argc, char **argv)
                 "increase %.2f%% — the paper's 'nearly negligible' "
                 "impact on mainstream applications.\n",
                 worstPerf, worstEnergy);
-    std::printf("campaign: %zu runs on %u threads in %.2f s\n",
-                campaign.runs.size(), campaign.threadsUsed,
-                campaign.wallSeconds);
-    if (writeCampaignJsonl(campaign, cli.jsonlPath))
-        std::printf("campaign: wrote %s\n", cli.jsonlPath.c_str());
-    if (writeCampaignStatsJson(campaign, cli.statsJsonPath))
-        std::printf("campaign: wrote %s\n", cli.statsJsonPath.c_str());
-    if (writeCampaignEventsJsonl(campaign, cli.eventsPath))
-        std::printf("campaign: wrote %s\n", cli.eventsPath.c_str());
-    if (writeCampaignTrace(cli))
-        std::printf("campaign: wrote trace artifacts\n");
+    writeCampaignArtifacts(campaign, cli);
     return 0;
 }

@@ -2,19 +2,22 @@
  * @file
  * Trace dump: run any bundled workload under the coupled simulation
  * and write a plot-ready CSV of (cycle, current, voltage, controller
- * state) — the raw data behind the paper's waveform figures.
+ * state) — the raw data behind the paper's waveform figures. Samples
+ * stream from VoltageSim::step() straight into the file.
  *
  * Usage: trace_dump [workload] [cycles] [out.csv]
  *   workload: stressmark | virus | wakeup | phased | any SPEC name
  *             (default: stressmark)
+ *   cycles:   positive integer (default: 50000)
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/experiments.hpp"
-#include "core/trace.hpp"
+#include "example_args.hpp"
+#include "util/logging.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
 #include "workloads/stressmark.hpp"
@@ -47,7 +50,8 @@ main(int argc, char **argv)
 {
     const char *workload = argc > 1 ? argv[1] : "stressmark";
     const uint64_t cycles =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50000;
+        argc > 2 ? examples::positiveCountArg("trace_dump: cycles", argv[2])
+                 : 50000;
     const char *out = argc > 3 ? argv[3] : "vguard_trace.csv";
 
     RunSpec rs;
@@ -56,18 +60,38 @@ main(int argc, char **argv)
     rs.actuator = ActuatorKind::FuDl1Il1;
     VoltageSim sim(makeSimConfig(rs), pickWorkload(workload));
 
-    TraceRecorder rec(cycles);
-    rec.capture(sim, cycles);
-    rec.writeCsv(out);
+    std::FILE *f = std::fopen(out, "w");
+    if (!f)
+        fatal("trace_dump: cannot open '%s' for writing", out);
+    std::fputs("cycle,amps,volts,gated,phantom\n", f);
 
-    const auto s = rec.summary();
-    std::printf("wrote %zu samples of '%s' to %s\n", rec.size(),
-                workload, out);
+    uint64_t samples = 0, gated = 0, phantom = 0;
+    double minV = 0.0, maxV = 0.0, peakAmps = 0.0, ampSum = 0.0;
+    for (; samples < cycles && !sim.halted(); ++samples) {
+        const TraceSample t = sim.step();
+        std::fprintf(f, "%llu,%.4f,%.6f,%d,%d\n",
+                     static_cast<unsigned long long>(t.cycle), t.amps,
+                     t.volts, t.gated ? 1 : 0, t.phantom ? 1 : 0);
+        minV = samples ? std::min(minV, t.volts) : t.volts;
+        maxV = samples ? std::max(maxV, t.volts) : t.volts;
+        peakAmps = std::max(peakAmps, t.amps);
+        ampSum += t.amps;
+        gated += t.gated;
+        phantom += t.phantom;
+    }
+    const bool writeFailed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || writeFailed)
+        fatal("trace_dump: short write to '%s'", out);
+
+    const double meanAmps =
+        samples ? ampSum / static_cast<double>(samples) : 0.0;
+    std::printf("wrote %llu samples of '%s' to %s\n",
+                static_cast<unsigned long long>(samples), workload, out);
     std::printf("V in [%.4f, %.4f]; mean %.1f A (peak %.1f A); gated "
                 "%llu cycles, phantom %llu cycles\n",
-                s.minV, s.maxV, s.meanAmps, s.peakAmps,
-                static_cast<unsigned long long>(s.gatedCycles),
-                static_cast<unsigned long long>(s.phantomCycles));
+                minV, maxV, meanAmps, peakAmps,
+                static_cast<unsigned long long>(gated),
+                static_cast<unsigned long long>(phantom));
     std::printf("plot with e.g.: python3 -c \"import pandas as pd, "
                 "matplotlib.pyplot as plt; d=pd.read_csv('%s'); "
                 "d.plot(x='cycle', y=['volts']); plt.show()\"\n",

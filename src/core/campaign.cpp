@@ -236,9 +236,37 @@ emitSpec(JsonWriter &w, const RunSpec &spec)
     w.endObject();
 }
 
+/**
+ * A histogram as "hist": {lo, hi, bins, underflow, overflow, total,
+ * counts}. Sparse [bin, count] pairs keep the artifact small: most of
+ * the 80 bins are empty for a quiet workload.
+ */
+void
+emitHist(JsonWriter &w, const Histogram &h)
+{
+    w.key("hist").beginObject();
+    w.field("lo", h.lo());
+    w.field("hi", h.hi());
+    w.field("bins", static_cast<uint64_t>(h.bins()));
+    w.field("underflow", h.underflow());
+    w.field("overflow", h.overflow());
+    w.field("total", h.total());
+    w.key("counts").beginArray();
+    for (size_t i = 0; i < h.bins(); ++i) {
+        if (h.count(i) == 0)
+            continue;
+        w.beginArray()
+            .value(static_cast<uint64_t>(i))
+            .value(h.count(i))
+            .endArray();
+    }
+    w.endArray();
+    w.endObject();
+}
+
 void
 emitSim(JsonWriter &w, std::string_view name,
-        const VoltageSimResult &r, bool withHist)
+        const VoltageSimResult &r)
 {
     w.key(name).beginObject();
     w.field("cycles", r.cycles);
@@ -254,29 +282,7 @@ emitSim(JsonWriter &w, std::string_view name,
     w.field("phantomCycles", r.phantomCycles);
     w.field("lowTriggers", r.lowTriggers);
     w.field("highTriggers", r.highTriggers);
-    if (withHist) {
-        // Sparse [bin, count] pairs keep the artifact small: most of
-        // the 80 bins are empty for a quiet workload.
-        const Histogram &h = r.voltageHist;
-        w.key("hist").beginObject();
-        w.field("lo", h.lo());
-        w.field("hi", h.hi());
-        w.field("bins", static_cast<uint64_t>(h.bins()));
-        w.field("underflow", h.underflow());
-        w.field("overflow", h.overflow());
-        w.field("total", h.total());
-        w.key("counts").beginArray();
-        for (size_t i = 0; i < h.bins(); ++i) {
-            if (h.count(i) == 0)
-                continue;
-            w.beginArray()
-                .value(static_cast<uint64_t>(i))
-                .value(h.count(i))
-                .endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
+    emitHist(w, r.voltageHist);
     w.endObject();
 }
 
@@ -293,13 +299,13 @@ CampaignResult::jsonl() const
         w.field("name", rr.name);
         emitSpec(w, rr.spec);
         if (rr.comparison) {
-            emitSim(w, "baseline", rr.comparison->baseline, true);
-            emitSim(w, "controlled", rr.comparison->controlled, true);
+            emitSim(w, "baseline", rr.comparison->baseline);
+            emitSim(w, "controlled", rr.comparison->controlled);
             w.field("perfLossPct", rr.comparison->perfLossPct);
             w.field("energyIncreasePct",
                     rr.comparison->energyIncreasePct);
         } else {
-            emitSim(w, "result", rr.sim, true);
+            emitSim(w, "result", rr.sim);
         }
         w.endObject();
         out += w.take();
@@ -318,24 +324,7 @@ CampaignResult::jsonl() const
     w.field("minV", minV);
     w.field("maxV", maxV);
     w.field("meanIpc", ipc.mean());
-    w.key("hist").beginObject();
-    w.field("lo", mergedHist.lo());
-    w.field("hi", mergedHist.hi());
-    w.field("bins", static_cast<uint64_t>(mergedHist.bins()));
-    w.field("underflow", mergedHist.underflow());
-    w.field("overflow", mergedHist.overflow());
-    w.field("total", mergedHist.total());
-    w.key("counts").beginArray();
-    for (size_t i = 0; i < mergedHist.bins(); ++i) {
-        if (mergedHist.count(i) == 0)
-            continue;
-        w.beginArray()
-            .value(static_cast<uint64_t>(i))
-            .value(mergedHist.count(i))
-            .endArray();
-    }
-    w.endArray();
-    w.endObject();
+    emitHist(w, mergedHist);
     w.endObject();
     out += w.take();
     out += '\n';
@@ -380,7 +369,6 @@ CampaignResult::statsJson() const
         const TraceCache &tc = TraceCache::instance();
         JsonWriter tw;
         tw.beginObject();
-        tw.field("enabled", tc.enabled());
         tw.field("captures", tc.captures());
         tw.field("hits", tc.hits());
         tw.field("misses", tc.misses());
@@ -532,35 +520,6 @@ writeTextFile(const std::string &text, const std::string &path,
 } // namespace
 
 bool
-writeCampaignJsonl(const CampaignResult &result,
-                   const std::string &path)
-{
-    if (path.empty())
-        return false;
-    return writeTextFile(result.jsonl(), path, "writeCampaignJsonl");
-}
-
-bool
-writeCampaignStatsJson(const CampaignResult &result,
-                       const std::string &path)
-{
-    if (path.empty())
-        return false;
-    return writeTextFile(result.statsJson() + "\n", path,
-                         "writeCampaignStatsJson");
-}
-
-bool
-writeCampaignEventsJsonl(const CampaignResult &result,
-                         const std::string &path)
-{
-    if (path.empty())
-        return false;
-    return writeTextFile(result.eventsJsonl(), path,
-                         "writeCampaignEventsJsonl");
-}
-
-bool
 writeCampaignTrace(const CampaignCli &cli)
 {
     if (cli.tracePath.empty() && cli.traceCanonicalPath.empty())
@@ -584,6 +543,31 @@ writeCampaignTrace(const CampaignCli &cli)
                                cli.traceCanonicalPath,
                                "writeCampaignTrace");
     return wrote;
+}
+
+void
+writeCampaignArtifacts(const CampaignResult &result,
+                       const CampaignCli &cli)
+{
+    std::printf("campaign: %zu runs on %u threads in %.2f s\n",
+                result.runs.size(), result.threadsUsed,
+                result.wallSeconds);
+    // Each artifact renders only when its path is set.
+    if (!cli.jsonlPath.empty()) {
+        writeTextFile(result.jsonl(), cli.jsonlPath, "--jsonl");
+        std::printf("campaign: wrote %s\n", cli.jsonlPath.c_str());
+    }
+    if (!cli.statsJsonPath.empty()) {
+        writeTextFile(result.statsJson() + "\n", cli.statsJsonPath,
+                      "--stats-json");
+        std::printf("campaign: wrote %s\n", cli.statsJsonPath.c_str());
+    }
+    if (!cli.eventsPath.empty()) {
+        writeTextFile(result.eventsJsonl(), cli.eventsPath, "--events");
+        std::printf("campaign: wrote %s\n", cli.eventsPath.c_str());
+    }
+    if (writeCampaignTrace(cli))
+        std::printf("campaign: wrote trace artifacts\n");
 }
 
 } // namespace vguard::core

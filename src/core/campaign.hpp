@@ -189,19 +189,15 @@ CampaignCli parseCampaignCli(int argc, char **argv);
 void aggregateCampaignRuns(CampaignResult &out);
 
 /**
- * Write result.jsonl() to @p path (no-op when empty; fatal on I/O
- * error). Returns true when a file was written.
+ * The shared tail of every campaign binary: print the "campaign: N runs
+ * on T threads in X s" line, then write result.jsonl() to
+ * cli.jsonlPath, result.statsJson() to cli.statsJsonPath,
+ * result.eventsJsonl() to cli.eventsPath and the tracer's exports
+ * (writeCampaignTrace), each only when its path is set and each
+ * announced by a "campaign: wrote ..." line. fatal() on I/O error.
  */
-bool writeCampaignJsonl(const CampaignResult &result,
-                        const std::string &path);
-
-/** Write result.statsJson() to @p path (same contract). */
-bool writeCampaignStatsJson(const CampaignResult &result,
-                            const std::string &path);
-
-/** Write result.eventsJsonl() to @p path (same contract). */
-bool writeCampaignEventsJsonl(const CampaignResult &result,
-                              const std::string &path);
+void writeCampaignArtifacts(const CampaignResult &result,
+                            const CampaignCli &cli);
 
 /**
  * Export the process-wide tracer to cli.tracePath (Chrome trace-event

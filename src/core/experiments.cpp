@@ -67,9 +67,6 @@ referenceCurrentRange()
         if (r.progMax <= r.progMin)
             panic("referenceCurrentRange: power virus failed (%.1f A)",
                   r.progMax);
-        informDebug("current range: prog [%.1f, %.1f] A, actuator "
-                    "[%.1f, %.1f] A",
-                    r.progMin, r.progMax, r.gatedMin, r.phantomMax);
         return r;
     }();
     return cached;
@@ -88,12 +85,7 @@ referenceTarget()
         spec.iMin = range.progMin;
         spec.iMax = range.progMax;
         spec.iTrim = range.gatedMin;
-        auto res = pdn::calibrateTargetImpedance(spec);
-        informDebug("referenceTarget: zTarget=%.4g mOhm (dip %.4f V, "
-                    "peak %.4f V)",
-                    res.zTargetOhms * 1e3, res.worstDipV,
-                    res.worstPeakV);
-        return res;
+        return pdn::calibrateTargetImpedance(spec);
     }();
     return cached;
 }
@@ -304,6 +296,24 @@ compareControlled(const isa::Program &program, const RunSpec &spec)
     return cmp;
 }
 
+bool
+parseDecimal(const char *text, uint64_t &v)
+{
+    // Digits only, as parseTraceCacheMb: strtoull would wrap "-5" to
+    // ~2^64 and read "40000x" as 40000.
+    bool ok = *text != '\0';
+    uint64_t acc = 0;
+    for (const char *p = text; ok && *p; ++p) {
+        const uint64_t digit = static_cast<uint64_t>(*p - '0');
+        ok = digit <= 9 &&
+             acc <= (std::numeric_limits<uint64_t>::max() - digit) / 10;
+        acc = acc * 10 + digit;
+    }
+    if (ok)
+        v = acc;
+    return ok;
+}
+
 uint64_t
 cycleBudget(uint64_t fallback)
 {
@@ -313,17 +323,8 @@ cycleBudget(uint64_t fallback)
     const char *env = std::getenv("VGUARD_CYCLES");
     if (!env)
         return fallback;
-    // Unsigned decimal digits only, as parseTraceCacheMb: strtoull
-    // would wrap "-5" to ~2^64 cycles and read "40000x" as 40000.
-    bool ok = *env != '\0';
     uint64_t v = 0;
-    for (const char *p = env; ok && *p; ++p) {
-        const uint64_t digit = static_cast<uint64_t>(*p - '0');
-        ok = digit <= 9 &&
-             v <= (std::numeric_limits<uint64_t>::max() - digit) / 10;
-        v = v * 10 + digit;
-    }
-    if (!ok || v == 0)
+    if (!parseDecimal(env, v) || v == 0)
         fatal("VGUARD_CYCLES: expected a positive cycle count, got '%s'",
               env);
     return v;

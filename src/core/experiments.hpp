@@ -112,7 +112,7 @@ VoltageSimResult runWorkload(const isa::Program &program,
  * TraceCache::fetchOrCapture call: the cached trace when there is one
  * (one capture amortises across the whole sweep, and across
  * runWorkload calls with the same key), else a trace held in
- * @p fallback — cache disabled or trace over budget — which must
+ * @p fallback — trace over the cache's byte budget — which must
  * therefore outlive the returned reference. Never copies a trace.
  * @p spec must be open-loop (controllerEnabled == false).
  */
@@ -142,6 +142,14 @@ Comparison compareControlled(const isa::Program &program,
  * integer (sign, trailing text, zero, overflow) is fatal().
  */
 uint64_t cycleBudget(uint64_t fallback);
+
+/**
+ * Strict unsigned decimal parse: digits only — no sign, space or
+ * trailing text — and the value must fit uint64_t. Returns false
+ * (leaving @p v untouched) on anything else. Behind cycleBudget and
+ * the examples' positional arguments.
+ */
+bool parseDecimal(const char *text, uint64_t &v);
 
 } // namespace vguard::core
 

@@ -20,9 +20,11 @@
  *    1-core chip feeds the rail exactly its trace (0.0 + a == a) and
  *    the N=1 open-loop configuration reproduces single-core
  *    VoltageSim::runReplay bookkeeping bit-identically;
- *  - open-loop chips take the block path (stepPerLane), closed-loop
- *    chips the per-cycle path (stepCycle); the two are bit-identical
- *    by the pinned canonical summation order (test_backend_diff.cpp);
+ *  - open-loop chips take the block path (stepPerLane, which the
+ *    batched backend runs through the same block kernel as
+ *    stepShared), closed-loop chips the per-cycle path (stepCycle);
+ *    the two are bit-identical by the pinned canonical summation order
+ *    (test_backend_diff.cpp);
  *  - reordering the chips vector permutes results bit-exactly (lanes
  *    are arithmetically independent). Reordering *cores within* a
  *    chip is not bit-invariant in general: it reassociates the FP
@@ -71,8 +73,8 @@ struct ChipSpec : SweepLane
     std::vector<CoreSlot> cores;
     /**
      * Per-core bang-bang sensing; open loop when unset. Each core gets
-     * its own sensor with a noise seed derived per core index, all
-     * observing the shared rail.
+     * its own sensor (bounded uniform reading error) with a noise seed
+     * derived per core index, all observing the shared rail.
      */
     std::optional<SensorConfig> sensor;
     /** Chip-level throttle arbitration; requires `sensor`. */

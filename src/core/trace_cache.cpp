@@ -68,21 +68,6 @@ envSizeMb(const char *name, size_t fallbackMb)
     return mb;
 }
 
-bool
-envEnabled(const char *name)
-{
-    // Same single-shot init-time read as envSizeMb above.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char *env = std::getenv(name);
-    if (!env)
-        return true;
-    bool on = true;
-    if (!parseTraceCacheEnabled(env, on))
-        warn("%s: unrecognized value '%s'; cache stays enabled", name,
-             env);
-    return on;
-}
-
 /**
  * Bytes charged per front-end stats entry besides its strings. A
  * constant rather than sizeof(obs::SnapshotEntry), so the charge (which
@@ -111,20 +96,6 @@ parseTraceCacheMb(const std::string &text, size_t &mb)
     }
     mb = static_cast<size_t>(v);
     return true;
-}
-
-bool
-parseTraceCacheEnabled(const std::string &text, bool &on)
-{
-    if (text == "1" || text == "on" || text == "true") {
-        on = true;
-        return true;
-    }
-    if (text == "0" || text == "off" || text == "false") {
-        on = false;
-        return true;
-    }
-    return false;
 }
 
 PackedActivity
@@ -252,8 +223,7 @@ TraceCache::instance()
 }
 
 TraceCache::TraceCache()
-    : maxBytes_(envSizeMb("VGUARD_TRACE_CACHE_MB", 1024) * 1024 * 1024),
-      enabled_(envEnabled("VGUARD_TRACE_CACHE"))
+    : maxBytes_(envSizeMb("VGUARD_TRACE_CACHE_MB", 1024) * 1024 * 1024)
 {
 }
 
@@ -276,8 +246,6 @@ TraceCache::fetchOrCapture(const std::string &key,
         capture(spill);
         return spill;
     };
-    if (!enabled())
-        return uncached();
     Entry *e = entryFor(key);
     bool ranOnce = false;
     bool captured = false;
@@ -357,18 +325,6 @@ TraceCache::retain(Entry *e, CapturedTrace &spill)
     }
     obs::traceCounter("trace_cache.bytes",
                       static_cast<double>(resident));
-}
-
-bool
-TraceCache::enabled() const
-{
-    return enabled_.load(std::memory_order_relaxed);
-}
-
-void
-TraceCache::setEnabled(bool on)
-{
-    enabled_.store(on, std::memory_order_relaxed);
 }
 
 void

@@ -32,9 +32,10 @@
  * pointers stay stable across rebalancing inserts, and are immutable
  * once the once_flag is done — replays share them read-only.
  *
- * Environment knobs: VGUARD_TRACE_CACHE=0 (or "off") disables the
- * cache entirely; VGUARD_TRACE_CACHE_MB caps retained trace bytes
- * (default 1024 MB — a 200k-cycle trace is ~7 MB).
+ * One environment knob: VGUARD_TRACE_CACHE_MB caps retained trace
+ * bytes (default 1024 MB — a 200k-cycle trace is ~7 MB). A budget of
+ * 0 is the off switch: every trace blows it, so none is retained and
+ * each call gets its own trace in fetchOrCapture's spill.
  */
 
 #ifndef VGUARD_CORE_TRACE_CACHE_HPP
@@ -159,13 +160,6 @@ obs::Snapshot frontEndSubset(const obs::Snapshot &stats);
  */
 bool parseTraceCacheMb(const std::string &text, size_t &mb);
 
-/**
- * Strict parse of a VGUARD_TRACE_CACHE toggle: "1"/"on"/"true" enable,
- * "0"/"off"/"false" disable. Returns false (leaving @p on untouched)
- * for any other value instead of silently treating it as enabled.
- */
-bool parseTraceCacheEnabled(const std::string &text, bool &on);
-
 /** Process-wide cache of captured open-loop traces. */
 class TraceCache
 {
@@ -181,8 +175,8 @@ class TraceCache
      * first calls on one key run it exactly once; the others block,
      * then share the entry) or the persistent store serves it.
      *
-     * When the cache is disabled, or the trace blew the byte budget,
-     * the result lives in @p spill instead, which therefore must
+     * When the trace blew the byte budget (always, under
+     * VGUARD_TRACE_CACHE_MB=0), the result lives in @p spill instead, which therefore must
      * outlive the returned reference: the thread that captured (or
      * loaded) an over-budget trace moves it there, and any other
      * caller runs @p capture into @p spill. Those uncached captures
@@ -191,10 +185,6 @@ class TraceCache
     const CapturedTrace &fetchOrCapture(const std::string &key,
                                         const CaptureFn &capture,
                                         CapturedTrace &spill);
-
-    bool enabled() const;
-    /** Tests/benches toggle the cache to compare against full runs. */
-    void setEnabled(bool on);
 
     /**
      * Drop every entry (test isolation only — callers must guarantee
@@ -243,7 +233,6 @@ class TraceCache
     size_t bytes_ = 0;        ///< retained trace bytes (under m_)
     size_t retained_ = 0;     ///< retained entry count (under m_)
     size_t maxBytes_;
-    std::atomic<bool> enabled_;
     std::atomic<uint64_t> captures_{0};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};

@@ -56,18 +56,6 @@ opClass(Opcode op)
 }
 
 bool
-isLoad(Opcode op)
-{
-    return op == Opcode::LDQ || op == Opcode::LDT;
-}
-
-bool
-isStore(Opcode op)
-{
-    return op == Opcode::STQ || op == Opcode::STT;
-}
-
-bool
 isControl(Opcode op)
 {
     return opClass(op) == OpClass::Branch;

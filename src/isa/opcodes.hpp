@@ -82,10 +82,6 @@ constexpr uint8_t kNoReg = 0xff;
 /** Structural class of an opcode. */
 OpClass opClass(Opcode op);
 
-/** True for LDQ/LDT. */
-bool isLoad(Opcode op);
-/** True for STQ/STT. */
-bool isStore(Opcode op);
 /** True for any control transfer. */
 bool isControl(Opcode op);
 /** True for BEQ/BNE/BLT/BGE. */

@@ -1,7 +1,6 @@
 #include "linsys/worst_case.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hpp"
 
@@ -32,15 +31,6 @@ bangBangWorstCase(const std::vector<double> &impulse, double lo, double hi)
         wc.maxInput[k - 1 - j] = u_max;
     }
     return wc;
-}
-
-double
-l1Norm(const std::vector<double> &impulse)
-{
-    double sum = 0.0;
-    for (double h : impulse)
-        sum += std::fabs(h);
-    return sum;
 }
 
 std::vector<double>

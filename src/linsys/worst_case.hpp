@@ -50,12 +50,6 @@ WorstCase bangBangWorstCase(const std::vector<double> &impulse, double lo,
                             double hi);
 
 /**
- * ℓ¹ norm of the impulse response — the worst-case gain for inputs
- * bounded in magnitude.
- */
-double l1Norm(const std::vector<double> &impulse);
-
-/**
  * Build the resonant square-wave input of the paper's stressmark
  * discussion: alternate @p hi for @p halfPeriod samples and @p lo for
  * @p halfPeriod samples, repeated to @p len samples.

@@ -71,21 +71,12 @@ class ScalarPdnBackend final : public PdnBackend
             sim.reset();
     }
 
-  protected:
-    void doStepShared(const double *amps, size_t n,
-                      double *volts) override
+    void stepShared(const double *amps, size_t n, double *volts) override
     {
-        const size_t k = sims_.size();
-        if (rowBuf_.size() < n)
-            rowBuf_.resize(n);
-        for (size_t lane = 0; lane < k; ++lane) {
-            sims_[lane].stepMany(amps, n, rowBuf_.data());
-            for (size_t cyc = 0; cyc < n; ++cyc)
-                volts[cyc * k + lane] = rowBuf_[cyc];
-        }
+        for (size_t lane = 0; lane < sims_.size(); ++lane)
+            stepLane(lane, amps, n, volts);
     }
 
-  public:
     void stepCycle(const double *ampsPerLane,
                    double *voltsPerLane) override
     {
@@ -93,14 +84,9 @@ class ScalarPdnBackend final : public PdnBackend
             voltsPerLane[lane] = sims_[lane].step(ampsPerLane[lane]);
     }
 
-  protected:
-
-    void doStepPerLane(const double *amps, size_t n,
-                       double *volts) override
+    void stepPerLane(const double *amps, size_t n, double *volts) override
     {
         const size_t k = sims_.size();
-        if (rowBuf_.size() < n)
-            rowBuf_.resize(n);
         if (colBuf_.size() < n)
             colBuf_.resize(n);
         // Gather each lane's current column so the whole block still
@@ -109,13 +95,27 @@ class ScalarPdnBackend final : public PdnBackend
         for (size_t lane = 0; lane < k; ++lane) {
             for (size_t cyc = 0; cyc < n; ++cyc)
                 colBuf_[cyc] = amps[cyc * k + lane];
-            sims_[lane].stepMany(colBuf_.data(), n, rowBuf_.data());
-            for (size_t cyc = 0; cyc < n; ++cyc)
-                volts[cyc * k + lane] = rowBuf_[cyc];
+            stepLane(lane, colBuf_.data(), n, volts);
         }
     }
 
   private:
+    /**
+     * Step @p lane through @p n cycles of its current column @p amps
+     * with PdnSim::stepMany and scatter the voltages into the
+     * cycle-major @p volts.
+     */
+    void stepLane(size_t lane, const double *amps, size_t n,
+                  double *volts)
+    {
+        const size_t k = sims_.size();
+        if (rowBuf_.size() < n)
+            rowBuf_.resize(n);
+        sims_[lane].stepMany(amps, n, rowBuf_.data());
+        for (size_t cyc = 0; cyc < n; ++cyc)
+            volts[cyc * k + lane] = rowBuf_[cyc];
+    }
+
     std::vector<PdnSim> sims_;
     std::vector<double> rowBuf_;  ///< one lane's voltage row
     std::vector<double> colBuf_;  ///< one lane's current column
@@ -179,18 +179,14 @@ class BatchedPdnBackend final : public PdnBackend
 
     void reset() override { x_ = xTrim_; }
 
-  protected:
     // vlint: hot
-    void doStepShared(const double *amps, size_t n,
-                      double *volts) override
+    void stepShared(const double *amps, size_t n, double *volts) override
     {
         if (ns_ == 3)
-            sharedKernel<3>(amps, n, volts);
+            blockKernel<3, true>(amps, n, volts);
         else
-            sharedKernel<0>(amps, n, volts);
+            blockKernel<0, true>(amps, n, volts);
     }
-
-  public:
 
     void stepCycle(const double *ampsPerLane,
                    double *voltsPerLane) override
@@ -207,19 +203,17 @@ class BatchedPdnBackend final : public PdnBackend
             voltsPerLane[lane] = voltsPad_[lane];
     }
 
-  protected:
     // vlint: hot
-    void doStepPerLane(const double *amps, size_t n,
-                       double *volts) override
+    void stepPerLane(const double *amps, size_t n, double *volts) override
     {
         // Full packs load straight from the caller's cycle-major
         // buffer (DoublePack::load is unaligned on every target), so
         // only the tail pack — the one containing padding lanes —
         // needs a repack. Padding lanes clone the last real lane's
         // draw (as in stepCycle) so they keep computing real,
-        // discarded values. Against the old full-block repack this
-        // removes an n*stride_ copy per block, which dominated the
-        // many-core per-lane path (see bench_simloop chipBatched).
+        // discarded values. Against a full-block repack this saves an
+        // n*stride_ copy per block, which would dominate the many-core
+        // per-lane path (see bench_simloop chipBatched).
         if (stride_ != k_) {
             const size_t base = stride_ - simd::kPackWidth;
             const size_t live = k_ - base;
@@ -236,9 +230,9 @@ class BatchedPdnBackend final : public PdnBackend
             }
         }
         if (ns_ == 3)
-            perLaneKernel<3>(amps, n, volts);
+            blockKernel<3, false>(amps, n, volts);
         else
-            perLaneKernel<0>(amps, n, volts);
+            blockKernel<0, false>(amps, n, volts);
     }
 
   private:
@@ -285,14 +279,20 @@ class BatchedPdnBackend final : public PdnBackend
     }
 
     /**
-     * Shared-trace block kernel, chunk-outer / cycle-inner so each
-     * chunk's coefficient and state packs stay in registers across the
-     * whole block. NS_HINT = compile-time state count (3 is the PDN
-     * fast path); NS_HINT = 0 falls back to the runtime dimension.
+     * Block kernel behind both stepShared and stepPerLane, chunk-outer
+     * / cycle-inner so each chunk's coefficient and state packs stay in
+     * registers across the whole block. NS_HINT = compile-time state
+     * count (3 is the PDN fast path); NS_HINT = 0 falls back to the
+     * runtime dimension. SHARED picks the current pack u1: a broadcast
+     * of the shared draw amps[cyc], or a per-lane pack load — straight
+     * from the caller's cycle-major buffer for full packs, from the
+     * padded tailBlk_ for the one pack that straddles k_. Everything
+     * else (loop structure, term order) is common, so the bit-identity
+     * argument holds for both.
      */
-    template <unsigned NS_HINT>
+    template <unsigned NS_HINT, bool SHARED>
     // vlint: hot
-    void sharedKernel(const double *amps, size_t n, double *volts)
+    void blockKernel(const double *amps, size_t n, double *volts)
     {
         using simd::DoublePack;
         const unsigned ns = NS_HINT ? NS_HINT : ns_;
@@ -317,85 +317,15 @@ class BatchedPdnBackend final : public PdnBackend
             const size_t live = full ? simd::kPackWidth : k_ - base;
             double tail[simd::kPackWidth];
 
-            for (size_t cyc = 0; cyc < n; ++cyc) {
-                const DoublePack u1 = DoublePack::broadcast(amps[cyc]);
-
-                DoublePack out = DoublePack::zero();
-                for (unsigned i = 0; i < ns; ++i)
-                    out = out + C[i] * x[i];
-                out = out + d0 * u0;
-                out = out + d1 * u1;
-
-                double *dst = volts + cyc * k_ + base;
-                if (full) {
-                    out.store(dst);
-                } else {
-                    out.store(tail);
-                    for (size_t l = 0; l < live; ++l)
-                        dst[l] = tail[l];
-                }
-
-                for (unsigned i = 0; i < ns; ++i) {
-                    DoublePack acc = DoublePack::zero();
-                    for (unsigned j = 0; j < ns; ++j)
-                        acc = acc + A[i * ns + j] * x[j];
-                    acc = acc + B0[i] * u0;
-                    acc = acc + B1[i] * u1;
-                    nx[i] = acc;
-                }
-                for (unsigned i = 0; i < ns; ++i)
-                    x[i] = nx[i];
-            }
-
-            for (unsigned i = 0; i < ns; ++i)
-                x[i].store(&x_[size_t{i} * stride_ + base]);
-        }
-    }
-
-    /**
-     * Per-lane-trace block kernel: identical to sharedKernel — same
-     * loop structure, same term order, so the bit-identity argument
-     * carries over unchanged — except u1 is a per-lane pack load
-     * instead of a broadcast: straight from the caller's cycle-major
-     * buffer for full packs, from the padded tailBlk_ for the one
-     * pack that straddles k_. Either way the loaded doubles are the
-     * exact values the old full-block repack staged.
-     */
-    template <unsigned NS_HINT>
-    // vlint: hot
-    void perLaneKernel(const double *amps, size_t n, double *volts)
-    {
-        using simd::DoublePack;
-        const unsigned ns = NS_HINT ? NS_HINT : ns_;
-        for (size_t base = 0; base < stride_; base += simd::kPackWidth) {
-            DoublePack A[kMaxStates * kMaxStates];
-            DoublePack B0[kMaxStates], B1[kMaxStates], C[kMaxStates];
-            DoublePack x[kMaxStates], nx[kMaxStates];
-            for (unsigned i = 0; i < ns; ++i) {
-                C[i] = DoublePack::load(&c_[size_t{i} * stride_ + base]);
-                B0[i] = DoublePack::load(&bd0_[size_t{i} * stride_ + base]);
-                B1[i] = DoublePack::load(&bd1_[size_t{i} * stride_ + base]);
-                for (unsigned j = 0; j < ns; ++j)
-                    A[i * ns + j] = DoublePack::load(
-                        &ad_[(size_t{i} * ns + j) * stride_ + base]);
-                x[i] = DoublePack::load(&x_[size_t{i} * stride_ + base]);
-            }
-            const DoublePack d0 = DoublePack::load(&d0_[base]);
-            const DoublePack d1 = DoublePack::load(&d1_[base]);
-            const DoublePack u0 = DoublePack::load(&vdd_[base]);
-
-            const bool full = base + simd::kPackWidth <= k_;
-            const size_t live = full ? simd::kPackWidth : k_ - base;
-            double tail[simd::kPackWidth];
-
-            // Loop-invariant input addressing: (pointer, stride)
-            // selected per pack keeps the cycle loop branch-free.
+            // Per-lane input addressing: (pointer, stride) selected per
+            // pack keeps the cycle loop branch-free.
             const double *uSrc = full ? amps + base : tailBlk_.data();
             const size_t uStride = full ? k_ : simd::kPackWidth;
 
             for (size_t cyc = 0; cyc < n; ++cyc) {
                 const DoublePack u1 =
-                    DoublePack::load(uSrc + cyc * uStride);
+                    SHARED ? DoublePack::broadcast(amps[cyc])
+                           : DoublePack::load(uSrc + cyc * uStride);
 
                 DoublePack out = DoublePack::zero();
                 for (unsigned i = 0; i < ns; ++i)

@@ -11,10 +11,13 @@
  *    is the bit-exact golden reference; its per-lane output is by
  *    construction identical to PdnSim::stepMany / stepBlock2.
  *  - BatchedPdnBackend: structure-of-arrays state stepped cycle-major
- *    through simd::DoublePack, kPackWidth lanes per instruction. It
- *    follows stepBlock2's canonical FP summation order term for term
- *    (see linsys/matn.hpp), so its output is bit-identical to the
- *    scalar backend — not approximately equal; tests/test_backend_diff
+ *    through simd::DoublePack, kPackWidth lanes per instruction. One
+ *    block kernel serves stepShared and stepPerLane; they differ only
+ *    in how each cycle's current pack is loaded (a broadcast of the
+ *    shared draw, or the lanes' own draws). It follows stepBlock2's
+ *    canonical FP summation order term for term (see
+ *    linsys/matn.hpp), so its output is bit-identical to the scalar
+ *    backend — not approximately equal; tests/test_backend_diff
  *    asserts byte equality across presets, lane counts and block
  *    sizes.
  *
@@ -70,17 +73,14 @@ class PdnBackend
      * volts[k * lanes() + lane]. Callable repeatedly to stream a long
      * trace through in blocks; lane state carries across calls.
      *
-     * Non-virtual entry point delegating to doStepShared. The
-     * per-block trace spans (pdn.backend.step_shared) are emitted by
-     * the core-layer call sites, not here — pdn sits below obs in the
-     * layering (vlint layer-dag), so this library must not include
-     * the tracer. The per-cycle stepCycle stays untraced either way;
-     * the solver makes millions of those calls.
+     * The per-block trace spans (pdn.backend.step_shared) are emitted
+     * by the core-layer call sites, not here: pdn sits below obs in the
+     * layering (vlint layer-dag), so this library must not include the
+     * tracer. The per-cycle stepCycle stays untraced either way; the
+     * solver makes millions of those calls.
      */
-    void stepShared(const double *amps, size_t n, double *volts)
-    {
-        doStepShared(amps, n, volts);
-    }
+    virtual void stepShared(const double *amps, size_t n,
+                            double *volts) = 0;
 
     /**
      * Advance one cycle with per-lane currents (the closed-loop solver
@@ -101,17 +101,8 @@ class PdnBackend
      * stepCycle calls over the same currents. Traced at the core
      * call sites like stepShared (pdn.backend.step_per_lane).
      */
-    void stepPerLane(const double *amps, size_t n, double *volts)
-    {
-        doStepPerLane(amps, n, volts);
-    }
-
-  protected:
-    /** Engine implementations of the block-stepping entry points. */
-    virtual void doStepShared(const double *amps, size_t n,
-                              double *volts) = 0;
-    virtual void doStepPerLane(const double *amps, size_t n,
-                               double *volts) = 0;
+    virtual void stepPerLane(const double *amps, size_t n,
+                             double *volts) = 0;
 };
 
 /**

@@ -51,14 +51,6 @@ PdnSim::run(const std::vector<double> &amps)
     return vs;
 }
 
-double
-PdnSim::outputAt(double amps) const
-{
-    u_[0] = vdd_;
-    u_[1] = amps;
-    return dss_.output(x_, u_);
-}
-
 void
 PdnSim::reset()
 {

@@ -56,9 +56,6 @@ class PdnSim
     /** Run a whole current trace; returns the voltage trace. */
     std::vector<double> run(const std::vector<double> &amps);
 
-    /** Die voltage for the current state given a held current draw. */
-    double outputAt(double amps) const;
-
     /** Reset state to the DC operating point of the last trim. */
     void reset();
 
@@ -90,7 +87,7 @@ class PdnSim
     std::vector<double> x_;      ///< [v_bulk, i_L, v_dcap]
     std::vector<double> xTrim_;  ///< DC state at the trim point
     /** Reused [Vdd, I] input vector: step() must not allocate. */
-    mutable std::vector<double> u_{0.0, 0.0};
+    std::vector<double> u_{0.0, 0.0};
     double vdd_;                 ///< regulator set point
     double iTrim_ = 0.0;
     uint64_t steps_ = 0;

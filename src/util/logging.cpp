@@ -1,6 +1,5 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -8,10 +7,6 @@
 namespace vguard {
 
 namespace {
-
-// Campaign workers read (inform) and the CLI writes (setVerbosity)
-// concurrently, so this must be atomic.
-std::atomic<Verbosity> g_verbosity{Verbosity::Normal};
 
 /**
  * Format the whole "prefix + message + newline" into one buffer and
@@ -51,18 +46,6 @@ vprint(FILE *to, const char *prefix, const char *fmt, va_list ap)
 } // namespace
 
 void
-setVerbosity(Verbosity v)
-{
-    g_verbosity.store(v, std::memory_order_relaxed);
-}
-
-Verbosity
-verbosity()
-{
-    return g_verbosity.load(std::memory_order_relaxed);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;
@@ -94,22 +77,9 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (verbosity() == Verbosity::Quiet)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vprint(stdout, "info: ", fmt, ap);
-    va_end(ap);
-}
-
-void
-informDebug(const char *fmt, ...)
-{
-    if (verbosity() != Verbosity::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vprint(stdout, "debug: ", fmt, ap);
     va_end(ap);
 }
 

@@ -18,15 +18,6 @@
 
 namespace vguard {
 
-/** Verbosity levels for inform(); warnings/errors always print. */
-enum class Verbosity { Quiet = 0, Normal = 1, Debug = 2 };
-
-/** Set the global verbosity for inform()/informDebug(). */
-void setVerbosity(Verbosity v);
-
-/** Current global verbosity. */
-Verbosity verbosity();
-
 /** Abort with a message; use for internal invariant violations. */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -38,11 +29,8 @@ Verbosity verbosity();
 /** Print a warning to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print a status line to stdout (suppressed when Quiet). */
+/** Print an "info: " status line to stdout. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a status line only in Debug verbosity. */
-void informDebug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Assert-like helper that is active in all build types.

@@ -25,10 +25,6 @@ class RunningStat
     /** Add one sample. */
     void add(double x);
 
-    /** Remove all samples. */
-    void reset() { *this = RunningStat(); }
-
-    uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
 
   private:

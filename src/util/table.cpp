@@ -55,35 +55,4 @@ Table::ascii() const
     return out;
 }
 
-std::string
-Table::csv() const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string q = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                q += '"';
-            q += ch;
-        }
-        q += '"';
-        return q;
-    };
-
-    std::string out;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < headers_.size(); ++c) {
-            out += quote(c < row.size() ? row[c] : "");
-            if (c + 1 < headers_.size())
-                out += ',';
-        }
-        out += '\n';
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-    return out;
-}
-
 } // namespace vguard

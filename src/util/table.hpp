@@ -1,6 +1,6 @@
 /**
  * @file
- * Small ASCII table / CSV emitter used by the benchmark harnesses to
+ * Small ASCII table emitter used by the benchmark harnesses to
  * print paper-style tables (e.g. Table 2 and Table 3 of the paper).
  */
 
@@ -26,12 +26,6 @@ class Table
 
     /** Render with aligned columns separated by two spaces. */
     std::string ascii() const;
-
-    /** Render as RFC-4180-ish CSV. */
-    std::string csv() const;
-
-    size_t rows() const { return rows_.size(); }
-    size_t cols() const { return headers_.size(); }
 
   private:
     std::vector<std::string> headers_;

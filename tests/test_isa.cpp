@@ -33,9 +33,6 @@ TEST(Opcodes, Classes)
 
 TEST(Opcodes, Predicates)
 {
-    EXPECT_TRUE(isLoad(Opcode::LDT));
-    EXPECT_FALSE(isLoad(Opcode::STQ));
-    EXPECT_TRUE(isStore(Opcode::STT));
     EXPECT_TRUE(isControl(Opcode::CALL));
     EXPECT_TRUE(isCondBranch(Opcode::BGE));
     EXPECT_FALSE(isCondBranch(Opcode::BR));

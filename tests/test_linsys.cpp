@@ -299,8 +299,15 @@ TEST(WorstCase, DegenerateEqualBounds)
 
 TEST(WorstCase, L1Norm)
 {
-    EXPECT_DOUBLE_EQ(l1Norm({1.0, -2.0, 3.0}), 6.0);
-    EXPECT_DOUBLE_EQ(l1Norm({}), 0.0);
+    // For inputs bounded in magnitude by 1 the bang-bang extremes are
+    // the l1 norm of the impulse response, +-sum |h|; an empty
+    // response has no gain.
+    const auto wc = bangBangWorstCase({1.0, -2.0, 3.0}, -1.0, 1.0);
+    EXPECT_DOUBLE_EQ(wc.maxOutput, 6.0);
+    EXPECT_DOUBLE_EQ(wc.minOutput, -6.0);
+    const auto none = bangBangWorstCase({}, -1.0, 1.0);
+    EXPECT_DOUBLE_EQ(none.maxOutput, 0.0);
+    EXPECT_DOUBLE_EQ(none.minOutput, 0.0);
 }
 
 TEST(WorstCase, ResonantSquareWave)

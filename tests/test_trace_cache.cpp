@@ -4,13 +4,14 @@
  * replayed results must be bit-identical to full-core runs on both
  * voltage back-ends and at any block size, concurrent first calls on
  * one cache key must collapse to a single capture, campaign artifacts
- * must stay byte-identical across thread counts and with the cache
- * toggled off, the committed golden mini-campaign must be unchanged
- * with the cache force-enabled, and back-to-back VoltageSim::run()
- * calls must continue the PDN/convolver state exactly like one long
- * run. The power-virus capture behind referenceCurrentRange() is
- * checked against a hand-rolled core + Wattch oracle, and fetchTrace
- * must return the same bytes disabled, capturing and hitting.
+ * must stay byte-identical across thread counts and equal to direct
+ * full-core VoltageSim::run results, the committed golden
+ * mini-campaign must be unchanged through the cache, and back-to-back
+ * VoltageSim::run() calls must continue the PDN/convolver state
+ * exactly like one long run. The power-virus capture behind
+ * referenceCurrentRange() is checked against a hand-rolled core +
+ * Wattch oracle, and fetchTrace must return the bytes of a direct
+ * capture whether it captures or hits.
  *
  * Labeled `campaign` so the suite runs under TSan via
  *   cmake -B build-tsan -DVGUARD_SANITIZE=thread
@@ -92,12 +93,11 @@ zeroBudget()
 // ------------------------------------------------------- env knobs
 
 /**
- * Regression tests for the strict VGUARD_TRACE_CACHE /
- * VGUARD_TRACE_CACHE_MB parsing bugfix. The old code fed the env text
- * to strtoull semantics: "-5" wrapped to a near-2^64 MB budget,
- * "10abc" silently dropped its tail, and any non-"0" toggle text
- * counted as "on". All of those must now be rejected (the singleton
- * then logs a warning and keeps its default).
+ * Regression test for the strict VGUARD_TRACE_CACHE_MB parsing bugfix.
+ * The old code fed the env text to strtoull semantics: "-5" wrapped to
+ * a near-2^64 MB budget and "10abc" silently dropped its tail. Both
+ * must now be rejected (the singleton then logs a warning and keeps
+ * its default).
  */
 TEST(TraceCacheEnv, StrictSizeParsing)
 {
@@ -123,34 +123,6 @@ TEST(TraceCacheEnv, StrictSizeParsing)
     EXPECT_FALSE(parseTraceCacheMb("18446744073709551615", mb));
     EXPECT_FALSE(parseTraceCacheMb("10000000", mb));
     EXPECT_EQ(mb, 77u) << "rejected text must leave the value alone";
-}
-
-TEST(TraceCacheEnv, StrictEnableParsing)
-{
-    bool on = false;
-    EXPECT_TRUE(parseTraceCacheEnabled("1", on));
-    EXPECT_TRUE(on);
-    EXPECT_TRUE(parseTraceCacheEnabled("on", on));
-    EXPECT_TRUE(on);
-    EXPECT_TRUE(parseTraceCacheEnabled("true", on));
-    EXPECT_TRUE(on);
-    EXPECT_TRUE(parseTraceCacheEnabled("0", on));
-    EXPECT_FALSE(on);
-    on = true;
-    EXPECT_TRUE(parseTraceCacheEnabled("off", on));
-    EXPECT_FALSE(on);
-    on = true;
-    EXPECT_TRUE(parseTraceCacheEnabled("false", on));
-    EXPECT_FALSE(on);
-
-    on = true;
-    EXPECT_FALSE(parseTraceCacheEnabled("", on));
-    EXPECT_FALSE(parseTraceCacheEnabled("maybe", on));
-    EXPECT_FALSE(parseTraceCacheEnabled("ON", on));
-    EXPECT_FALSE(parseTraceCacheEnabled("True", on));
-    EXPECT_FALSE(parseTraceCacheEnabled("yes", on));
-    EXPECT_FALSE(parseTraceCacheEnabled("2", on));
-    EXPECT_TRUE(on) << "rejected text must leave the value alone";
 }
 
 TEST(TraceKey, DistinguishesEveryComponent)
@@ -257,7 +229,6 @@ TEST(TraceReplay, ReusableAcrossPackages)
 TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
 {
     TraceCache &tc = TraceCache::instance();
-    tc.setEnabled(true);
     // A configured persistent store would serve this key from disk
     // (a hit instead of the capture this test counts) — disable it.
     TraceStore::instance().configure("", 0);
@@ -290,10 +261,9 @@ TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
     // its own result and the seven others capture afresh, uncached.
     EXPECT_EQ(tc.evicts() - evictBefore, zeroBudget() ? 1u : 0u);
 
-    // Capturer and replayers alike must equal a cache-bypassing run.
-    tc.setEnabled(false);
-    const VoltageSimResult full = runWorkload(prog, rs);
-    tc.setEnabled(true);
+    // Capturer and replayers alike must equal a direct full-core run.
+    const VoltageSimResult full =
+        VoltageSim(makeSimConfig(rs), prog).run(rs.maxCycles, rs.maxInsts);
     for (const auto &r : results) {
         expectSameSim(full, r);
         EXPECT_EQ(full.stats.json(), r.stats.json());
@@ -307,7 +277,6 @@ TEST(TraceCacheFetch, DisabledCapturingAndHitAgree)
 {
     TraceCache &tc = TraceCache::instance();
     TraceStore::instance().configure("", 0);
-    tc.setEnabled(true);
     referenceCurrentRange();
 
     const isa::Program prog = workloads::buildSpecProxy("swim");
@@ -315,10 +284,10 @@ TEST(TraceCacheFetch, DisabledCapturingAndHitAgree)
     rs.controllerEnabled = false;
     rs.maxCycles = 1931; // fresh key: no other test uses this limit
 
-    tc.setEnabled(false);
-    CapturedTrace offSpill;
-    const CapturedTrace &off = fetchTrace(prog, rs, offSpill);
-    tc.setEnabled(true);
+    // The oracle is the capture a cache-less fetch would make: a direct
+    // full-core run of the same configuration.
+    CapturedTrace off;
+    VoltageSim(makeSimConfig(rs), prog).run(rs.maxCycles, rs.maxInsts, &off);
     ASSERT_GT(off.cycles(), 0u);
 
     const uint64_t capBefore = tc.captures();
@@ -380,7 +349,6 @@ TEST(TraceCacheVirus, CachedVirusTraceMatchesHandRolledLoop)
 {
     TraceCache &tc = TraceCache::instance();
     TraceStore::instance().configure("", 0);
-    tc.setEnabled(true);
     const CurrentRange &range = referenceCurrentRange();
 
     // The virus key is the open-loop key of (powerVirus, 30000 cycles,
@@ -440,7 +408,6 @@ openLoopJobs()
 TEST(TraceCacheCampaign, ByteIdenticalAcrossThreadsAndCacheToggle)
 {
     TraceCache &tc = TraceCache::instance();
-    tc.setEnabled(true);
     // Store hits would replace the captures this test counts below.
     TraceStore::instance().configure("", 0);
     // Warm the lazy experiment caches (the virus-trace put counts as a
@@ -472,15 +439,21 @@ TEST(TraceCacheCampaign, ByteIdenticalAcrossThreadsAndCacheToggle)
     EXPECT_EQ(tc.hits() - hitBefore, 16u);
     EXPECT_EQ(tc.evicts() - evictBefore, zeroBudget() ? 2u : 0u);
 
-    // Cache off: every leg is a fresh full-core run — same bytes.
-    tc.setEnabled(false);
-    CampaignEngine::Options o = base;
-    o.threads = 2;
-    const CampaignResult off = CampaignEngine(o).run(openLoopJobs());
-    tc.setEnabled(true);
-    EXPECT_EQ(off.jsonl(), results[0].jsonl());
-    EXPECT_EQ(off.mergedStats.json(), results[0].mergedStats.json());
-    EXPECT_EQ(off.eventsJsonl(), results[0].eventsJsonl());
+    // Without the cache every leg would be a fresh full-core run: each
+    // run, and the artifacts aggregated from those runs, must equal a
+    // direct VoltageSim::run of the spec the campaign executed.
+    const std::vector<CampaignJob> jobs = openLoopJobs();
+    CampaignResult direct = results[0];
+    ASSERT_EQ(direct.runs.size(), jobs.size());
+    for (RunResult &rr : direct.runs) {
+        rr.sim = VoltageSim(makeSimConfig(rr.spec), jobs[rr.index].program)
+                     .run(rr.spec.maxCycles, rr.spec.maxInsts);
+        expectSameSim(rr.sim, results[0].runs[rr.index].sim);
+    }
+    aggregateCampaignRuns(direct);
+    EXPECT_EQ(direct.jsonl(), results[0].jsonl());
+    EXPECT_EQ(direct.mergedStats.json(), results[0].mergedStats.json());
+    EXPECT_EQ(direct.eventsJsonl(), results[0].eventsJsonl());
 }
 
 // --------------------------------------------------- golden (cache on)
@@ -490,12 +463,9 @@ TEST(TraceCacheGolden, MiniCampaignUnchangedWithCacheEnabled)
     if (std::getenv("VGUARD_UPDATE_GOLDEN"))
         GTEST_SKIP() << "golden being regenerated by test_campaign";
 
-    // Same pinned mini-campaign as Golden.MiniCampaignJsonl, with the
-    // trace cache force-enabled: replaying the uncontrolled leg must
-    // not move a byte of the committed artifact.
-    TraceCache &tc = TraceCache::instance();
-    tc.setEnabled(true);
-
+    // Same pinned mini-campaign as Golden.MiniCampaignJsonl through
+    // the trace cache: replaying the uncontrolled leg must not move a
+    // byte of the committed artifact.
     const auto cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 

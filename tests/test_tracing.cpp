@@ -258,7 +258,6 @@ TEST_F(TracingTest, CampaignChromeExportValidates)
     // Warm the trace cache untraced first: the traced second pass
     // then exercises the replay fast path, whose spans (replay.run,
     // pdn.backend.step_*) this test asserts on.
-    TraceCache::instance().setEnabled(true);
     TraceCache::instance().clear();
     tracedMiniCampaign(2, 0.004327);
     Tracer::instance().enable();
@@ -340,7 +339,6 @@ TEST_F(TracingTest, GoldenMiniTraceCanonical)
 
     // Pin the cache cold so the capture span fires deterministically
     // whatever ran earlier in this process.
-    TraceCache::instance().setEnabled(true);
     TraceCache::instance().clear();
     Tracer::instance().enable();
     tracedMiniCampaign(2, 0.004321);

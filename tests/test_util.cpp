@@ -12,7 +12,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,42 +100,6 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
-/** Sample mean and population standard deviation of @p xs. */
-std::pair<double, double>
-meanAndStddev(const std::vector<double> &xs)
-{
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    const double mean = sum / static_cast<double>(xs.size());
-    double sq = 0.0;
-    for (double x : xs)
-        sq += (x - mean) * (x - mean);
-    return {mean, std::sqrt(sq / static_cast<double>(xs.size()))};
-}
-
-TEST(Rng, GaussianMoments)
-{
-    Rng r(13);
-    std::vector<double> xs(200000);
-    for (double &x : xs)
-        x = r.gaussian();
-    const auto [mean, stddev] = meanAndStddev(xs);
-    EXPECT_NEAR(mean, 0.0, 0.01);
-    EXPECT_NEAR(stddev, 1.0, 0.01);
-}
-
-TEST(Rng, GaussianScaled)
-{
-    Rng r(17);
-    std::vector<double> xs(100000);
-    for (double &x : xs)
-        x = r.gaussian(5.0, 2.0);
-    const auto [mean, stddev] = meanAndStddev(xs);
-    EXPECT_NEAR(mean, 5.0, 0.05);
-    EXPECT_NEAR(stddev, 2.0, 0.05);
-}
-
 TEST(Rng, ReseedRestartsSequence)
 {
     Rng r(99);
@@ -149,7 +112,6 @@ TEST(Rng, ReseedRestartsSequence)
 TEST(RunningStat, Empty)
 {
     RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.mean(), 0.0);
 }
 
@@ -157,7 +119,6 @@ TEST(RunningStat, SingleSample)
 {
     RunningStat s;
     s.add(3.5);
-    EXPECT_EQ(s.count(), 1u);
     EXPECT_DOUBLE_EQ(s.mean(), 3.5);
 }
 
@@ -166,16 +127,19 @@ TEST(RunningStat, KnownMoments)
     RunningStat s;
     for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         s.add(x);
-    EXPECT_EQ(s.count(), 8u);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
 }
 
 TEST(RunningStat, Reset)
 {
+    // Reassigning a fresh RunningStat is the reset (as the campaign
+    // aggregation does): the old samples no longer weigh on the mean.
     RunningStat s;
     s.add(1.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
+    s = RunningStat{};
+    EXPECT_EQ(s.mean(), 0.0);
+    s.add(4.0);
+    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
 }
 
 TEST(Histogram, BinAssignment)
@@ -302,8 +266,6 @@ TEST(Table, AsciiHasHeadersAndRows)
     EXPECT_NE(a.find("name"), std::string::npos);
     EXPECT_NE(a.find("alpha"), std::string::npos);
     EXPECT_NE(a.find("beta"), std::string::npos);
-    EXPECT_EQ(t.rows(), 2u);
-    EXPECT_EQ(t.cols(), 2u);
 }
 
 TEST(Table, ShortRowsPadded)
@@ -311,17 +273,6 @@ TEST(Table, ShortRowsPadded)
     Table t({"a", "b", "c"});
     t.addRow({"only"});
     EXPECT_NE(t.ascii().find("only"), std::string::npos);
-    EXPECT_NE(t.csv().find("only,,"), std::string::npos);
-}
-
-TEST(Table, CsvQuoting)
-{
-    Table t({"x"});
-    t.addRow({"has,comma"});
-    t.addRow({"has\"quote"});
-    const std::string csv = t.csv();
-    EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-    EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
 }
 
 TEST(Table, FmtPrecision)
@@ -465,17 +416,15 @@ class CaptureFd
 TEST(Logging, ConcurrentWarnsDoNotTearLines)
 {
     // Regression test for the multi-fputs vprint: N threads hammer
-    // warn() while another flips the verbosity; every captured line
-    // must be exactly one complete "warn: t<i> m<j> end" record.
-    // Run under TSan (-DVGUARD_SANITIZE=thread) this also proves the
-    // verbosity global is race-free.
+    // warn(); every captured line must be exactly one complete
+    // "warn: t<i> m<j> end" record.
     constexpr int kThreads = 8;
     constexpr int kMessages = 200;
 
     CaptureFd capture(stderr);
     std::atomic<bool> go{false};
     std::vector<std::thread> workers;
-    workers.reserve(kThreads + 1);
+    workers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([t, &go] {
             while (!go.load(std::memory_order_acquire)) {
@@ -484,20 +433,9 @@ TEST(Logging, ConcurrentWarnsDoNotTearLines)
                 vguard::warn("t%d m%d end", t, j);
         });
     }
-    workers.emplace_back([&go] {
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        using vguard::Verbosity;
-        for (int i = 0; i < 400; ++i) {
-            vguard::setVerbosity(i % 2 ? Verbosity::Debug
-                                       : Verbosity::Normal);
-            (void)vguard::verbosity();
-        }
-    });
     go.store(true, std::memory_order_release);
     for (auto &w : workers)
         w.join();
-    vguard::setVerbosity(vguard::Verbosity::Normal);
 
     const std::string text = capture.finish();
     std::istringstream lines(text);
@@ -515,16 +453,6 @@ TEST(Logging, ConcurrentWarnsDoNotTearLines)
         EXPECT_TRUE(seen.insert(line).second) << "duplicate: " << line;
     }
     EXPECT_EQ(count, size_t(kThreads) * kMessages);
-}
-
-TEST(Logging, QuietSuppressesInformButNotWarn)
-{
-    CaptureFd err(stderr);
-    vguard::setVerbosity(vguard::Verbosity::Quiet);
-    vguard::warn("still visible");
-    vguard::setVerbosity(vguard::Verbosity::Normal);
-    const std::string text = err.finish();
-    EXPECT_NE(text.find("warn: still visible"), std::string::npos);
 }
 
 TEST(Logging, OversizedMessageSurvivesHeapFallback)

@@ -74,9 +74,8 @@ isDetRoot(const std::string &qual)
 {
     static const std::vector<std::string> suffixes = {
         "CampaignEngine::run"};
-    static const std::vector<std::string> steps = {
-        "::stepShared", "::stepPerLane", "::doStepShared",
-        "::doStepPerLane"};
+    static const std::vector<std::string> steps = {"::stepShared",
+                                                   "::stepPerLane"};
     static const std::vector<std::string> classes = {
         "TraceCache::", "TraceStore::"};
     for (const auto &s : suffixes)
