@@ -28,6 +28,7 @@
 #include "pdn/package_model.hpp"
 #include "pdn/partitioned_convolver.hpp"
 #include "pdn/pdn_sim.hpp"
+#include "util/decimal.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -84,12 +85,12 @@ int
 main(int argc, char **argv)
 {
     core::CampaignCli cli = core::parseCampaignCli(argc, argv);
-    size_t samples = 20000;
-    if (!cli.positional.empty())
-        samples = static_cast<size_t>(
-            std::strtoull(cli.positional[0].c_str(), nullptr, 10));
-    if (samples == 0)
-        fatal("bench_convolver: samples must be positive");
+    uint64_t samples = 20000;
+    if (!cli.positional.empty() &&
+        (!parseDecimal(cli.positional[0], samples) || samples == 0))
+        fatal("bench_convolver: samples: expected a positive integer, "
+              "got '%s'",
+              cli.positional[0].c_str());
     const std::string outPath =
         cli.jsonlPath.empty() ? "BENCH_convolver.json" : cli.jsonlPath;
 
@@ -107,7 +108,7 @@ main(int argc, char **argv)
     JsonWriter w;
     w.beginObject();
     w.field("bench", "convolver");
-    w.field("samples", static_cast<uint64_t>(samples));
+    w.field("samples", samples);
     w.field("fullKernelTaps", static_cast<uint64_t>(fullKernel.size()));
     w.field("stateSpaceCyclesPerSec", ssRate);
     w.key("results").beginArray();
@@ -124,7 +125,7 @@ main(int argc, char **argv)
 
         // Correctness cross-check on a prefix of the trace (naive is
         // slow; 4 * taps samples covers several full delay lines).
-        const size_t checkLen = std::min(samples, 4 * taps);
+        const size_t checkLen = std::min<size_t>(samples, 4 * taps);
         double maxDev = 0.0;
         for (size_t i = 0; i < checkLen; ++i)
             maxDev = std::max(maxDev, std::fabs(naive.step(amps[i]) -

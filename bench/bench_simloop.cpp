@@ -56,6 +56,7 @@
 #include "pdn/pdn_backend.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
+#include "util/decimal.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "workloads/kernels.hpp"
@@ -158,10 +159,11 @@ main(int argc, char **argv)
 {
     CampaignCli cli = parseCampaignCli(argc, argv);
     uint64_t cycles = 200000;
-    if (!cli.positional.empty())
-        cycles = std::strtoull(cli.positional[0].c_str(), nullptr, 10);
-    if (cycles == 0)
-        fatal("bench_simloop: cycles must be positive");
+    if (!cli.positional.empty() &&
+        (!parseDecimal(cli.positional[0], cycles) || cycles == 0))
+        fatal("bench_simloop: cycles: expected a positive integer, "
+              "got '%s'",
+              cli.positional[0].c_str());
     const std::string outPath =
         cli.jsonlPath.empty() ? "BENCH_simloop.json" : cli.jsonlPath;
 

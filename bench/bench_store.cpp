@@ -33,6 +33,7 @@
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "obs/tracing.hpp"
+#include "util/decimal.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "workloads/spec_proxy.hpp"
@@ -70,10 +71,10 @@ main(int argc, char **argv)
 {
     CampaignCli cli = parseCampaignCli(argc, argv);
     uint64_t cycles = 20000;
-    if (!cli.positional.empty())
-        cycles = std::strtoull(cli.positional[0].c_str(), nullptr, 10);
-    if (cycles == 0)
-        fatal("bench_store: cycles must be positive");
+    if (!cli.positional.empty() &&
+        (!parseDecimal(cli.positional[0], cycles) || cycles == 0))
+        fatal("bench_store: cycles: expected a positive integer, got '%s'",
+              cli.positional[0].c_str());
     const std::string outPath =
         cli.jsonlPath.empty() ? "BENCH_store.json" : cli.jsonlPath;
 

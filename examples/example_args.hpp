@@ -13,17 +13,17 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "core/experiments.hpp"
+#include "util/decimal.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::examples {
 
-/** Non-negative integer argument (core::parseDecimal). */
+/** Non-negative integer argument (vguard::parseDecimal). */
 inline uint64_t
 countArg(const char *what, const char *text)
 {
     uint64_t v = 0;
-    if (!core::parseDecimal(text, v))
+    if (!parseDecimal(text, v))
         fatal("%s: expected a non-negative integer, got '%s'", what, text);
     return v;
 }
@@ -33,7 +33,7 @@ inline uint64_t
 positiveCountArg(const char *what, const char *text)
 {
     uint64_t v = 0;
-    if (!core::parseDecimal(text, v) || v == 0)
+    if (!parseDecimal(text, v) || v == 0)
         fatal("%s: expected a positive integer, got '%s'", what, text);
     return v;
 }

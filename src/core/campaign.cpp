@@ -9,12 +9,14 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <string_view>
 #include <thread>
 
 #include "core/actuator.hpp"
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "obs/tracing.hpp"
+#include "util/decimal.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -421,23 +423,24 @@ parseCampaignCli(int argc, char **argv)
 {
     CampaignCli cli;
     auto numeric = [](const char *flag, const char *text) -> uint64_t {
-        // strtoull silently accepts a leading '-' and wraps it to a
-        // huge unsigned value ("--seed -1" would become 2^64-1), so
-        // reject any sign explicitly before converting.
-        const char *p = text;
-        while (*p == ' ' || *p == '\t')
-            ++p;
-        if (*p == '-')
+        // Decimal only, after optional leading blanks and '+': "010"
+        // is ten (not octal 8) and "0x10" is not a number. A '-' is
+        // named as such rather than wrapped to ~2^64.
+        std::string_view digits = text;
+        digits.remove_prefix(std::min(digits.find_first_not_of(" \t"),
+                                      digits.size()));
+        if (digits.starts_with('-'))
             fatal("%s: expected a non-negative number, got '%s'", flag,
                   text);
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long v = std::strtoull(text, &end, 0);
-        if (end == text || *end != '\0')
-            fatal("%s: expected a number, got '%s'", flag, text);
-        if (errno == ERANGE)
+        if (digits.starts_with('+'))
+            digits.remove_prefix(1);
+        uint64_t v = 0;
+        if (parseDecimal(digits, v))
+            return v;
+        if (!digits.empty() &&
+            digits.find_first_not_of("0123456789") == std::string_view::npos)
             fatal("%s: value out of range: '%s'", flag, text);
-        return v;
+        fatal("%s: expected a number, got '%s'", flag, text);
     };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,6 +15,7 @@
 #include "pdn/package_model.hpp"
 #include "power/wattch.hpp"
 #include "workloads/kernels.hpp"
+#include "util/decimal.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::core {
@@ -294,24 +294,6 @@ compareControlled(const isa::Program &program, const RunSpec &spec)
             cmp.baseline.energyJ;
     }
     return cmp;
-}
-
-bool
-parseDecimal(const char *text, uint64_t &v)
-{
-    // Digits only, as parseTraceCacheMb: strtoull would wrap "-5" to
-    // ~2^64 and read "40000x" as 40000.
-    bool ok = *text != '\0';
-    uint64_t acc = 0;
-    for (const char *p = text; ok && *p; ++p) {
-        const uint64_t digit = static_cast<uint64_t>(*p - '0');
-        ok = digit <= 9 &&
-             acc <= (std::numeric_limits<uint64_t>::max() - digit) / 10;
-        acc = acc * 10 + digit;
-    }
-    if (ok)
-        v = acc;
-    return ok;
 }
 
 uint64_t

@@ -143,14 +143,6 @@ Comparison compareControlled(const isa::Program &program,
  */
 uint64_t cycleBudget(uint64_t fallback);
 
-/**
- * Strict unsigned decimal parse: digits only — no sign, space or
- * trailing text — and the value must fit uint64_t. Returns false
- * (leaving @p v untouched) on anything else. Behind cycleBudget and
- * the examples' positional arguments.
- */
-bool parseDecimal(const char *text, uint64_t &v);
-
 } // namespace vguard::core
 
 #endif // VGUARD_CORE_EXPERIMENTS_HPP

@@ -6,6 +6,7 @@
 
 #include "core/trace_store.hpp"
 #include "obs/tracing.hpp"
+#include "util/decimal.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::core {
@@ -82,18 +83,11 @@ constexpr size_t kStatEntryBytes = 104;
 bool
 parseTraceCacheMb(const std::string &text, size_t &mb)
 {
-    // Unsigned decimal digits only: strtoull would coerce "-5" (wraps
-    // to a huge budget) and "10abc" (trailing text dropped), both of
-    // which this parser exists to reject. Seven digits (~10 TB) bound
-    // the budget so the MB→byte conversion can never overflow.
-    if (text.empty() || text.size() > 7)
-        return false;
+    // Seven digits (~10 TB) bound the budget so the MB→byte conversion
+    // can never overflow.
     uint64_t v = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<uint64_t>(c - '0');
-    }
+    if (text.size() > 7 || !parseDecimal(text, v))
+        return false;
     mb = static_cast<size_t>(v);
     return true;
 }

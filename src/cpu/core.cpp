@@ -1,6 +1,7 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hpp"
 
@@ -11,7 +12,8 @@ using isa::Opcode;
 
 OoOCore::OoOCore(const CpuConfig &cfg, isa::Program program)
     : cfg_(cfg), exec_(std::move(program)), bpred_(cfg), mem_(cfg),
-      pool_(cfg), ruu_(cfg.ruuSize), lsq_(cfg.lsqSize),
+      pool_(cfg), ruu_(cfg.ruuSize), readyMask_((cfg.ruuSize + 63) / 64),
+      lsq_(cfg.lsqSize),
       ifq_(cfg.ifqSize), regStatus_(isa::kNumArchRegs, -1),
       wheel_(kWheelSize)
 {
@@ -132,8 +134,10 @@ OoOCore::markCompleted(uint16_t idx)
     for (uint16_t consumer : e.consumers) {
         RuuEntry &c = ruu_[consumer];
         VGUARD_CHECK(c.waitCount > 0);
-        if (--c.waitCount == 0 && c.state == State::Waiting)
+        if (--c.waitCount == 0 && c.state == State::Waiting) {
             c.state = State::Ready;
+            readyMask_[consumer / 64] |= 1ull << (consumer % 64);
+        }
     }
     e.consumers.clear();
 
@@ -199,6 +203,20 @@ OoOCore::tryIssueLoad(uint16_t idx, RuuEntry &e)
     return true;
 }
 
+inline size_t
+OoOCore::nextReady(size_t from, size_t to) const
+{
+    for (size_t w = from / 64; w * 64 < to; ++w) {
+        uint64_t bits = readyMask_[w];
+        if (w == from / 64)
+            bits &= ~0ull << (from % 64);
+        if (bits != 0)
+            return std::min(
+                w * 64 + static_cast<size_t>(std::countr_zero(bits)), to);
+    }
+    return to;
+}
+
 void
 OoOCore::issueStage()
 {
@@ -206,62 +224,71 @@ OoOCore::issueStage()
     float activitySum = 0.0f;
     const unsigned width = std::min(cfg_.issueWidth, issueLimit_);
 
-    uint16_t idx = ruuHead_;
-    for (uint16_t n = 0; n < ruuCount_ && issued < width;
-         ++n, idx = ruuIndexAfter(idx)) {
-        RuuEntry &e = ruu_[idx];
-        if (e.state != State::Ready)
-            continue;
+    // Oldest first, the order of a scan from ruuHead_: the Ready slots
+    // of [ruuHead_, end), then those of [0, ruuHead_). An issue never
+    // readies another entry this cycle (latency >= 1), so the walk
+    // visits exactly the Ready entries such a scan would.
+    const size_t spans[2][2] = {{ruuHead_, ruu_.size()}, {0, ruuHead_}};
+    for (const auto &[lo, hi] : spans) {
+        for (size_t i = nextReady(lo, hi); i < hi && issued < width;
+             i = nextReady(i + 1, hi)) {
+            const auto idx = static_cast<uint16_t>(i);
+            RuuEntry &e = ruu_[idx];
+            VGUARD_CHECK(e.state == State::Ready);
 
-        const FuGroup group = fuGroupOf(e.cls);
-        const bool isFuOp =
-            group == FuGroup::IntAlu || group == FuGroup::IntMultDiv ||
-            group == FuGroup::FpAlu || group == FuGroup::FpMultDiv;
-        // Branches still execute under FU gating (the control path is
-        // not gated, only the execution datapaths), so exempt them.
-        if (gates_.fu && isFuOp && e.cls != OpClass::Branch) {
-            ++stats_.issueGateStalls;
-            continue;
-        }
-
-        if (e.isLoad) {
-            if (!tryIssueLoad(idx, e))
+            const FuGroup group = fuGroupOf(e.cls);
+            const bool isFuOp = group == FuGroup::IntAlu ||
+                                group == FuGroup::IntMultDiv ||
+                                group == FuGroup::FpAlu ||
+                                group == FuGroup::FpMultDiv;
+            // Branches still execute under FU gating (the control path
+            // is not gated, only the execution datapaths), so exempt
+            // them.
+            if (gates_.fu && isFuOp && e.cls != OpClass::Branch) {
+                ++stats_.issueGateStalls;
                 continue;
-        } else if (e.isStore) {
-            // Address generation on a memory port; the cache write
-            // happens at commit.
-            if (!pool_.tryIssue(OpClass::Store, now_))
-                continue;
-            ++av_.memPortsUsed;
-            VGUARD_CHECK(e.lsqIdx >= 0);
-            lsq_[e.lsqIdx].addrReady = true;
-            scheduleCompletion(idx, 1);
-        } else if (e.cls == OpClass::Nop) {
-            // NOP/HALT never reach Ready (completed at dispatch).
-            panic("issueStage: Nop in ready state");
-        } else {
-            if (!pool_.tryIssue(e.cls, now_))
-                continue;
-            scheduleCompletion(idx, pool_.latencyOf(e.cls));
-        }
+            }
 
-        e.state = State::Issued;
-        ++issued;
-        ++stats_.issued;
-        activitySum += e.activity;
+            if (e.isLoad) {
+                if (!tryIssueLoad(idx, e))
+                    continue;
+            } else if (e.isStore) {
+                // Address generation on a memory port; the cache write
+                // happens at commit.
+                if (!pool_.tryIssue(OpClass::Store, now_))
+                    continue;
+                ++av_.memPortsUsed;
+                VGUARD_CHECK(e.lsqIdx >= 0);
+                lsq_[e.lsqIdx].addrReady = true;
+                scheduleCompletion(idx, 1);
+            } else if (e.cls == OpClass::Nop) {
+                // NOP/HALT never reach Ready (completed at dispatch).
+                panic("issueStage: Nop in ready state");
+            } else {
+                if (!pool_.tryIssue(e.cls, now_))
+                    continue;
+                scheduleCompletion(idx, pool_.latencyOf(e.cls));
+            }
 
-        uint8_t srcs[3];
-        av_.regReads += e.si->sources(srcs);
+            e.state = State::Issued;
+            readyMask_[idx / 64] &= ~(1ull << (idx % 64));
+            ++issued;
+            ++stats_.issued;
+            activitySum += e.activity;
 
-        switch (e.cls) {
-          case OpClass::IntAlu:
-          case OpClass::Branch:  ++av_.issuedIntAlu; break;
-          case OpClass::IntMult: ++av_.issuedIntMult; break;
-          case OpClass::IntDiv:  ++av_.issuedIntDiv; break;
-          case OpClass::FpAdd:   ++av_.issuedFpAdd; break;
-          case OpClass::FpMult:  ++av_.issuedFpMult; break;
-          case OpClass::FpDiv:   ++av_.issuedFpDiv; break;
-          default: break;
+            uint8_t srcs[3];
+            av_.regReads += e.si->sources(srcs);
+
+            switch (e.cls) {
+              case OpClass::IntAlu:
+              case OpClass::Branch:  ++av_.issuedIntAlu; break;
+              case OpClass::IntMult: ++av_.issuedIntMult; break;
+              case OpClass::IntDiv:  ++av_.issuedIntDiv; break;
+              case OpClass::FpAdd:   ++av_.issuedFpAdd; break;
+              case OpClass::FpMult:  ++av_.issuedFpMult; break;
+              case OpClass::FpDiv:   ++av_.issuedFpDiv; break;
+              default: break;
+            }
         }
     }
 
@@ -342,8 +369,11 @@ OoOCore::dispatchStage()
             // NOPs and HALT retire without executing.
             e.state = State::Issued;
             scheduleCompletion(idx, 1);
+        } else if (e.waitCount == 0) {
+            e.state = State::Ready;
+            readyMask_[idx / 64] |= 1ull << (idx % 64);
         } else {
-            e.state = e.waitCount == 0 ? State::Ready : State::Waiting;
+            e.state = State::Waiting;
         }
 
         ruuTail_ = ruuIndexAfter(ruuTail_);

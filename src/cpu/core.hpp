@@ -164,6 +164,7 @@ class OoOCore
     void fetchStage();
     void finalizeActivity();
 
+    size_t nextReady(size_t from, size_t to) const;
     bool tryIssueLoad(uint16_t idx, RuuEntry &e);
     void scheduleCompletion(uint16_t idx, unsigned latency);
     void markCompleted(uint16_t idx);
@@ -181,6 +182,13 @@ class OoOCore
     uint16_t ruuHead_ = 0;
     uint16_t ruuTail_ = 0;
     uint16_t ruuCount_ = 0;
+
+    // Ready mask, one bit per RUU slot: set exactly while the slot's
+    // state is Ready (at dispatch or on the last operand's wakeup),
+    // cleared at issue. issueStage walks its set bits (nextReady: the
+    // first Ready slot in [from, to), else to) instead of the whole
+    // window, as sim-outorder's ready queue does.
+    std::vector<uint64_t> readyMask_;
 
     // LSQ circular buffer.
     std::vector<LsqEntry> lsq_;

@@ -121,6 +121,25 @@ TEST(CampaignCli, RejectsOutOfRangeAndGarbage)
                 ::testing::ExitedWithCode(1), "expected a number");
 }
 
+TEST(CampaignCli, NumbersAreDecimalOnly)
+{
+    // Regression: strtoull's base detection read "--threads 010" as
+    // octal 8 and accepted "0x10" as 16.
+    const char *zeros[] = {"prog", "--threads", "010", "--seed=007"};
+    const CampaignCli cli =
+        parseCampaignCli(4, const_cast<char **>(zeros));
+    EXPECT_EQ(cli.options.threads, 10u);
+    EXPECT_EQ(cli.options.campaignSeed, 7u);
+    const char *hex[] = {"prog", "--threads", "0x10"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(hex)),
+                ::testing::ExitedWithCode(1),
+                "--threads: expected a number, got '0x10'");
+    const char *hexSeed[] = {"prog", "--seed=0X1f"};
+    EXPECT_EXIT(parseCampaignCli(2, const_cast<char **>(hexSeed)),
+                ::testing::ExitedWithCode(1),
+                "--seed: expected a number, got '0X1f'");
+}
+
 TEST(CampaignCli, RejectsUnknownFlags)
 {
     // Regression: an unrecognised `--` flag used to fall through as a

@@ -5,7 +5,9 @@
  * dependence stalls, memory behaviour, gating semantics).
  */
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,10 @@
 #include "cpu/core.hpp"
 #include "cpu/func_units.hpp"
 #include "isa/program.hpp"
+#include "util/rng.hpp"
+#include "workloads/kernels.hpp"
+#include "workloads/spec_proxy.hpp"
+#include "workloads/stressmark.hpp"
 
 namespace {
 
@@ -572,5 +578,146 @@ TEST(Core, MemoryDependenceOrdering)
     runToHalt(core);
     EXPECT_EQ(core.stats().committed, 6u);
 }
+
+// ------------------------------------------------- issue-order pinning
+
+/** FNV-1a over the eight little-endian bytes of @p v. */
+uint64_t
+fnvMix(uint64_t h, uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Field by field, so struct padding never reaches the hash. */
+uint64_t
+hashActivity(uint64_t h, const ActivityVector &av)
+{
+    for (const uint32_t v :
+         {av.fetched, av.icacheAccesses, av.icacheMisses, av.bpredLookups,
+          av.dispatched, av.ruuOccupancy, av.lsqOccupancy,
+          av.issuedIntAlu, av.issuedIntMult, av.issuedIntDiv,
+          av.issuedFpAdd, av.issuedFpMult, av.issuedFpDiv, av.busyIntAlu,
+          av.busyIntMultDiv, av.busyFpAlu, av.busyFpMultDiv,
+          av.memPortsUsed, av.dcacheAccesses, av.dcacheMisses,
+          av.l2Accesses, av.l2Misses, av.lsqForwards, av.regReads,
+          av.regWrites, av.writebacks, av.committed,
+          std::bit_cast<uint32_t>(av.issueActivity)})
+        h = fnvMix(h, v);
+    for (const bool v : {av.gates.fu, av.gates.dl1, av.gates.il1,
+                         av.phantom.fu, av.phantom.dl1, av.phantom.il1})
+        h = fnvMix(h, v);
+    return h;
+}
+
+uint64_t
+hashStats(uint64_t h, const CoreStats &s)
+{
+    for (const uint64_t v :
+         {s.cycles, s.fetched, s.dispatched, s.issued, s.committed,
+          s.loads, s.stores, s.branches, s.mispredicts, s.lsqForwards,
+          s.fetchStallBranch, s.fetchStallIcache, s.fetchStallGate,
+          s.dispatchStallWindow, s.issueGateStalls, s.commitGateStalls})
+        h = fnvMix(h, v);
+    return h;
+}
+
+struct IssueOrderCase
+{
+    const char *workload;
+    unsigned ruuSize;
+    uint64_t expectHash;
+};
+
+void
+PrintTo(const IssueOrderCase &c, std::ostream *os)
+{
+    *os << c.workload << "/ruu" << c.ruuSize;
+}
+
+class IssueOrder : public ::testing::TestWithParam<IssueOrderCase>
+{
+};
+
+/**
+ * Differential pin of the issue stage's selection order: the expected
+ * hashes were captured from the full-RUU scan that the Ready-mask walk
+ * replaced, so any change in which Ready entry issues when (or how
+ * many gate stalls it counts) moves the hash. Sizes 63, 65 and 100
+ * leave the mask's last word partial and wrap the walk from the tail
+ * to slot 0; the random gate/phantom/issue-limit loop is the one of
+ * FuzzSweep.RandomInterferencePreservesExecution, so the FU-gating
+ * skip rule and width caps below issueWidth are covered too.
+ */
+TEST_P(IssueOrder, ActivityAndStatsMatchTheFullScan)
+{
+    const IssueOrderCase &c = GetParam();
+    const std::string name = c.workload;
+    Program program;
+    if (name == "gcc")
+        program = vguard::workloads::buildSpecProxy("gcc");
+    else if (name == "stressmark")
+        program = vguard::workloads::StressmarkBuilder::build({});
+    else
+        program = vguard::workloads::wakeupKernel();
+
+    CpuConfig cfg;
+    cfg.ruuSize = c.ruuSize;
+    OoOCore core(cfg, std::move(program));
+    vguard::Rng rng(0xabcdef ^ c.ruuSize);
+    uint64_t sameGateStreak = 0;
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (int n = 0; n < 50000; ++n) {
+        if (sameGateStreak > 300 || rng.chance(0.05)) {
+            core.setGates({});
+            core.setPhantom({});
+            core.setIssueLimit(~0u);
+            sameGateStreak = 0;
+        } else if (rng.chance(0.05)) {
+            core.setGates({rng.chance(0.5), rng.chance(0.5),
+                           rng.chance(0.5)});
+            core.setPhantom({rng.chance(0.3), false, false});
+            core.setIssueLimit(static_cast<unsigned>(rng.below(9)));
+        }
+        ++sameGateStreak;
+        h = hashActivity(h, core.cycle());
+    }
+    h = hashStats(h, core.stats());
+    EXPECT_GT(core.stats().issued, 0u);
+    EXPECT_GT(core.stats().issueGateStalls, 0u);
+    EXPECT_EQ(h, c.expectHash) << std::hex << "0x" << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RuuShapes, IssueOrder,
+    ::testing::Values(
+        IssueOrderCase{"gcc", 1, 0xd8f3a69041cb48eaull},
+        IssueOrderCase{"gcc", 16, 0xf81ca8b0b4c906fdull},
+        IssueOrderCase{"gcc", 63, 0x37440070f4de0d9aull},
+        IssueOrderCase{"gcc", 64, 0x88258aa8af59036cull},
+        IssueOrderCase{"gcc", 65, 0x8c36952fff874616ull},
+        IssueOrderCase{"gcc", 100, 0xf0cf85f00430e0f8ull},
+        IssueOrderCase{"gcc", 256, 0xceb289e933fc820aull},
+        IssueOrderCase{"stressmark", 1, 0xfe0556cdd5325364ull},
+        IssueOrderCase{"stressmark", 16, 0x149c0ccba06fd5fbull},
+        IssueOrderCase{"stressmark", 63, 0xeccae25d611c465aull},
+        IssueOrderCase{"stressmark", 64, 0x637f2c096458019bull},
+        IssueOrderCase{"stressmark", 65, 0xa6fa3255148f4031ull},
+        IssueOrderCase{"stressmark", 100, 0x8134894495deded7ull},
+        IssueOrderCase{"stressmark", 256, 0xffd21a056ae35ab0ull},
+        IssueOrderCase{"wakeup", 1, 0x622eb066937ffcccull},
+        IssueOrderCase{"wakeup", 16, 0x10d9e9fa8e9cc801ull},
+        IssueOrderCase{"wakeup", 63, 0x1c82135ef5f3e903ull},
+        IssueOrderCase{"wakeup", 64, 0x60cc9c63b5b57307ull},
+        IssueOrderCase{"wakeup", 65, 0xb0b303b05bb9f80aull},
+        IssueOrderCase{"wakeup", 100, 0xf3e980577fa72b31ull},
+        IssueOrderCase{"wakeup", 256, 0x9eaaf26708abf6a2ull}),
+    [](const ::testing::TestParamInfo<IssueOrderCase> &info) {
+        return std::string(info.param.workload) + "_ruu" +
+               std::to_string(info.param.ruuSize);
+    });
 
 } // namespace

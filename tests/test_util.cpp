@@ -19,6 +19,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "util/decimal.hpp"
 #include "util/json_parse.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
@@ -29,6 +30,7 @@
 namespace {
 
 using vguard::Histogram;
+using vguard::parseDecimal;
 using vguard::Rng;
 using vguard::RunningStat;
 using vguard::Table;
@@ -107,6 +109,24 @@ TEST(Rng, ReseedRestartsSequence)
     r.next();
     r.reseed(99);
     EXPECT_EQ(r.next(), first);
+}
+
+TEST(Decimal, DigitsOnly)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parseDecimal("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseDecimal("010", v));
+    EXPECT_EQ(v, 10u) << "a leading zero is not octal";
+    EXPECT_TRUE(parseDecimal("18446744073709551615", v));
+    EXPECT_EQ(v, std::numeric_limits<uint64_t>::max());
+
+    v = 77;
+    for (const char *bad : {"", "-5", "+5", " 5", "5 ", "12x", "x12",
+                            "0x10", "1e3", "18446744073709551616",
+                            "99999999999999999999999"})
+        EXPECT_FALSE(parseDecimal(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 77u) << "rejected text must leave the value alone";
 }
 
 TEST(RunningStat, Empty)
