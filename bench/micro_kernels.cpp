@@ -79,11 +79,23 @@ BENCHMARK(BM_CoreCycle);
 static void
 BM_CoreCycleSpecProxy(benchmark::State &state)
 {
-    cpu::OoOCore core(cpu::CpuConfig{},
-                      workloads::buildSpecProxy("gcc"));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&core.cycle());
-    state.SetItemsProcessed(state.iterations());
+    // The gcc proxy is not stationary, so every iteration times the
+    // same stretch of it: a fresh core, an untimed warm-up, then a
+    // fixed window. One iteration is kWindow cycles; items are cycles,
+    // so ns per cycle is 1e9 / items_per_second.
+    constexpr uint64_t kWarmup = 20000;
+    constexpr uint64_t kWindow = 200000;
+    const isa::Program program = workloads::buildSpecProxy("gcc");
+    for (auto _ : state) {
+        state.PauseTiming();
+        cpu::OoOCore core(cpu::CpuConfig{}, program);
+        for (uint64_t c = 0; c < kWarmup; ++c)
+            core.cycle();
+        state.ResumeTiming();
+        for (uint64_t c = 0; c < kWindow; ++c)
+            benchmark::DoNotOptimize(&core.cycle());
+    }
+    state.SetItemsProcessed(state.iterations() * kWindow);
 }
 BENCHMARK(BM_CoreCycleSpecProxy);
 

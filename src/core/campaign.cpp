@@ -422,10 +422,13 @@ CampaignCli
 parseCampaignCli(int argc, char **argv)
 {
     CampaignCli cli;
-    auto numeric = [](const char *flag, const char *text) -> uint64_t {
+    auto numeric = [](const char *flag, const char *text,
+                      uint64_t max = std::numeric_limits<uint64_t>::max())
+        -> uint64_t {
         // Decimal only, after optional leading blanks and '+': "010"
         // is ten (not octal 8) and "0x10" is not a number. A '-' is
-        // named as such rather than wrapped to ~2^64.
+        // named as such rather than wrapped to ~2^64, and a value above
+        // `max` is out of range rather than truncated.
         std::string_view digits = text;
         digits.remove_prefix(std::min(digits.find_first_not_of(" \t"),
                                       digits.size()));
@@ -435,7 +438,7 @@ parseCampaignCli(int argc, char **argv)
         if (digits.starts_with('+'))
             digits.remove_prefix(1);
         uint64_t v = 0;
-        if (parseDecimal(digits, v))
+        if (parseDecimal(digits, v) && v <= max)
             return v;
         if (!digits.empty() &&
             digits.find_first_not_of("0123456789") == std::string_view::npos)
@@ -459,7 +462,8 @@ parseCampaignCli(int argc, char **argv)
         };
         if (arg == "--threads") {
             cli.options.threads = static_cast<unsigned>(
-                numeric("--threads", takeValue("--threads").c_str()));
+                numeric("--threads", takeValue("--threads").c_str(),
+                        std::numeric_limits<unsigned>::max()));
         } else if (arg == "--seed") {
             cli.options.campaignSeed =
                 numeric("--seed", takeValue("--seed").c_str());

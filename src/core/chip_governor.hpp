@@ -81,10 +81,6 @@ class ChipGovernor
     /** Gate budget computed by the last observe(). */
     size_t budget() const { return budget_; }
 
-    /** Gate requests granted / denied so far. */
-    uint64_t grants() const { return grants_; }
-    uint64_t denials() const { return denials_; }
-
     const ChipGovernorConfig &config() const { return cfg_; }
 
     /** Bind governor telemetry under `<prefix>.`. */

@@ -63,13 +63,6 @@ class ThresholdSensor
 
     const SensorConfig &config() const { return cfg_; }
 
-    /** Total observe() calls. */
-    uint64_t observes() const { return observes_; }
-    /** observe() calls that reported Low. */
-    uint64_t lowReadings() const { return lowReadings_; }
-    /** observe() calls that reported High. */
-    uint64_t highReadings() const { return highReadings_; }
-
     /**
      * Bind sensor telemetry into @p r: observation/level counters and
      * the last raw reading under `<prefix>.`.

@@ -92,18 +92,6 @@ parseTraceCacheMb(const std::string &text, size_t &mb)
     return true;
 }
 
-PackedActivity
-packActivity(const cpu::ActivityVector &av)
-{
-    const auto counts = obs::fpChannelCounts(av);
-    PackedActivity packed;
-    for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch) {
-        VGUARD_CHECK(counts[ch] <= 0xffffu);
-        packed[ch] = static_cast<uint16_t>(counts[ch]);
-    }
-    return packed;
-}
-
 size_t
 CapturedTrace::bytes() const
 {
@@ -111,7 +99,7 @@ CapturedTrace::bytes() const
     // are just as resident — charge them to the budget identically so
     // VGUARD_TRACE_CACHE_MB means the same thing warm or cold.
     size_t b = cycles() * sizeof(double);
-    b += cycles() * sizeof(PackedActivity);
+    b += cycles() * sizeof(obs::FpCounts);
     for (const auto &e : frontEnd.entries())
         b += kStatEntryBytes + e.name.size() + e.desc.size();
     return b;

@@ -60,16 +60,6 @@
 namespace vguard::core {
 
 /**
- * One cycle's fingerprint-channel counts (obs::fpChannelCounts) as a
- * trace stores them. uint16 is lossless: every channel is bounded by a
- * machine width (max is regfile reads+writes <= 3*issueWidth).
- */
-using PackedActivity = std::array<uint16_t, obs::kNumFpChannels>;
-
-/** Pack one cycle's activity; checks that every channel fits uint16. */
-PackedActivity packActivity(const cpu::ActivityVector &av);
-
-/**
  * One captured open-loop run: the per-cycle current waveform, the
  * compact per-cycle activity fingerprint stream (enough to reproduce
  * emergency-event fingerprints without the core), and the front-end
@@ -87,8 +77,8 @@ struct CapturedTrace
 {
     /** Amps drawn each cycle (exact doubles from WattchModel). */
     std::vector<double> amps;
-    /** Per-cycle packed fingerprint counts (packActivity). */
-    std::vector<PackedActivity> activity;
+    /** Per-cycle fingerprint counts (obs::fpChannelCounts). */
+    std::vector<obs::FpCounts> activity;
 
     /** Committed instructions at end of the capture run. */
     uint64_t committed = 0;
@@ -110,7 +100,7 @@ struct CapturedTrace
     std::shared_ptr<const void> mapping;
     /** Mapped per-cycle waveform/fingerprints (when `mapping` set). */
     const double *ampsView = nullptr;
-    const PackedActivity *activityView = nullptr;
+    const obs::FpCounts *activityView = nullptr;
     size_t viewCycles = 0;
 
     /** Cycles in the trace, whichever mode stores them. */
@@ -128,7 +118,7 @@ struct CapturedTrace
     }
 
     /** Per-cycle fingerprint counts, cycles() entries. */
-    const PackedActivity *
+    const obs::FpCounts *
     activityData() const
     {
         return mapping ? activityView : activity.data();

@@ -25,7 +25,9 @@ namespace {
 constexpr char kMagic[8] = {'V', 'G', 'T', 'R', 'S', 'T', '0', '1'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 64;
-constexpr size_t kActivityEntryBytes = sizeof(PackedActivity);
+constexpr size_t kActivityEntryBytes = sizeof(obs::FpCounts);
+static_assert(sizeof(obs::FpCounts) == 28,
+              "a .vgt activity entry is 14 x u16 with no padding");
 
 /** On-disk header; packed by construction (no padding at these
     offsets), asserted below so a compiler surprise fails the build. */
@@ -382,7 +384,7 @@ TraceStore::load(const std::string &key)
     trace.halted = (hdr.flags & 1) != 0;
     trace.ampsView = reinterpret_cast<const double *>(bytes + ampsOff);
     trace.activityView =
-        reinterpret_cast<const PackedActivity *>(bytes + actOff);
+        reinterpret_cast<const obs::FpCounts *>(bytes + actOff);
     trace.viewCycles = hdr.cycles;
     std::shared_ptr<std::atomic<size_t>> mapped = mappedBytes_;
     mapped->fetch_add(size, std::memory_order_relaxed);

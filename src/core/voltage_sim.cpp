@@ -12,6 +12,7 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
     : cfg_(cfg), core_(cfg.cpu, std::move(program)),
       power_(cfg.power, cfg.cpu),
       pdn_(pdn::PackageModel(cfg.package)),
+      actuator_(cfg.actuator, cfg.phantomActuator.value_or(cfg.actuator)),
       vNominal_(cfg.package.vNominal),
       tracker_(cfg.package.vNominal * (1.0 - cfg.band),
                cfg.package.vNominal * (1.0 + cfg.band),
@@ -28,8 +29,7 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
             pdn::impulseResponse(pdn_.model()), pdn_.vddSetPoint(), iMin);
     }
     if (cfg_.sensor)
-        controller_.emplace(*cfg_.sensor, cfg_.actuator,
-                            cfg_.phantomActuator.value_or(cfg_.actuator));
+        sensor_.emplace(*cfg_.sensor);
 
     // Bind every component into the hierarchical registry (gem5
     // style: counters stay plain members; the registry reads them at
@@ -37,8 +37,10 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
     core_.registerStats(registry_, "cpu");
     power_.registerStats(registry_, "power", 1.0 / cfg_.cpu.clockHz);
     pdn_.registerStats(registry_, "pdn");
-    if (controller_)
-        controller_->registerStats(registry_, "ctrl");
+    if (sensor_) {
+        sensor_->registerStats(registry_, "ctrl.sensor");
+        actuator_.registerStats(registry_, "ctrl.actuator");
+    }
 
     registry_.derivedCounter("pdn.emergencies.count",
                              "cycles outside the operating band",
@@ -76,8 +78,10 @@ VoltageSim::step()
     const double amps = power_.current(av);
     const double volts =
         cfg_.useConvolution ? conv_->step(amps) : pdn_.step(amps);
-    if (controller_)
-        controller_->step(volts, core_);
+    if (sensor_) {
+        lastLevel_ = sensor_->observe(volts);
+        actuator_.apply(lastLevel_, core_);
+    }
 
     TraceSample s;
     s.cycle = cycle_++;
@@ -91,7 +95,7 @@ VoltageSim::step()
 void
 VoltageSim::accountCycle(
     uint64_t cycle, double amps, double volts,
-    const std::array<uint32_t, obs::kNumFpChannels> &counts,
+    const obs::FpCounts &counts,
     const obs::EmergencyTracker::ControlState &ctrl,
     VoltageSimResult &res, RunAccum &acc)
 {
@@ -139,10 +143,9 @@ VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
         const TraceSample s = step();
 
         obs::EmergencyTracker::ControlState ctrl;
-        if (controller_) {
-            ctrl.sensorLevel =
-                static_cast<int>(controller_->lastLevel());
-            ctrl.sensorReading = controller_->sensor().lastReading();
+        if (sensor_) {
+            ctrl.sensorLevel = static_cast<int>(lastLevel_);
+            ctrl.sensorReading = sensor_->lastReading();
         }
         ctrl.gating = s.gated;
         ctrl.phantom = s.phantom;
@@ -153,7 +156,7 @@ VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
 
 // vlint: hot
 void
-VoltageSim::runBlock(const double *amps, const PackedActivity *activity,
+VoltageSim::runBlock(const double *amps, const obs::FpCounts *activity,
                      size_t n,
                      const obs::EmergencyTracker::ControlState &ctrl,
                      VoltageSimResult &res, RunAccum &acc)
@@ -165,11 +168,8 @@ VoltageSim::runBlock(const double *amps, const PackedActivity *activity,
         pdn_.stepMany(amps, n, voltsBuf_.data());
     }
     for (size_t k = 0; k < n; ++k) {
-        std::array<uint32_t, obs::kNumFpChannels> counts;
-        for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch)
-            counts[ch] = activity[k][ch];
-        accountCycle(cycle_, amps[k], voltsBuf_[k], counts, ctrl, res,
-                     acc);
+        accountCycle(cycle_, amps[k], voltsBuf_[k], activity[k], ctrl,
+                     res, acc);
         ++cycle_;
     }
 }
@@ -181,7 +181,7 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
 {
     avBuf_.resize(kBlockCycles);
     ampsBuf_.resize(kBlockCycles);
-    packedBuf_.resize(kBlockCycles);
+    countsBuf_.resize(kBlockCycles);
     voltsBuf_.resize(kBlockCycles);
     if (capture) {
         // Reserve once instead of doubling; capped for runs whose real
@@ -208,20 +208,20 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
 
         power_.currentBlock(avBuf_.data(), n, ampsBuf_.data());
         for (size_t k = 0; k < n; ++k)
-            packedBuf_[k] = packActivity(avBuf_[k]);
+            countsBuf_[k] = obs::fpChannelCounts(avBuf_[k]);
         if (capture) {
             capture->amps.insert(capture->amps.end(), ampsBuf_.begin(),
                                  ampsBuf_.begin() + n);
             capture->activity.insert(capture->activity.end(),
-                                     packedBuf_.begin(),
-                                     packedBuf_.begin() + n);
+                                     countsBuf_.begin(),
+                                     countsBuf_.begin() + n);
         }
         // No controller drives the actuator in open loop, so the
         // core's gate/phantom state is the same for the whole block.
         obs::EmergencyTracker::ControlState ctrl;
         ctrl.gating = avBuf_[0].gates.any();
         ctrl.phantom = avBuf_[0].phantom.any();
-        runBlock(ampsBuf_.data(), packedBuf_.data(), n, ctrl, res, acc);
+        runBlock(ampsBuf_.data(), countsBuf_.data(), n, ctrl, res, acc);
     }
     if (capture) { // a run stopped early (halt, maxInsts) keeps no slack
         capture->amps.shrink_to_fit();
@@ -235,32 +235,28 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
 {
     // Capturing a closed-loop run would bake one package's actuation
     // feedback into the trace; only open-loop runs are cacheable.
-    VGUARD_CHECK(!capture || !controller_);
+    VGUARD_CHECK(!capture || !sensor_);
 
     // Each run() reports its own actuation counts: clear the actuator
     // counters without disturbing the control loop's physical state
     // (sensor delay line, gating commands already in flight).
-    if (controller_)
-        controller_->resetCounters();
+    actuator_.reset();
 
     // Registry counters are cumulative, so diff a snapshot taken here.
     VoltageSimResult res = beginRun();
     const obs::Snapshot before = registry_.snapshot();
     RunAccum acc{0.0, 1.0 / cfg_.cpu.clockHz};
 
-    if (controller_)
+    if (sensor_)
         runClosedLoop(maxCycles, maxInsts, res, acc);
     else
         runOpenLoop(maxCycles, maxInsts, res, acc, capture);
 
     finishRun(res, acc, core_.stats().committed);
-    if (controller_) {
-        const auto &act = controller_->actuator();
-        res.gatedCycles = act.gatedCycles();
-        res.phantomCycles = act.phantomCycles();
-        res.lowTriggers = act.lowTriggers();
-        res.highTriggers = act.highTriggers();
-    }
+    res.gatedCycles = actuator_.gatedCycles();
+    res.phantomCycles = actuator_.phantomCycles();
+    res.lowTriggers = actuator_.lowTriggers();
+    res.highTriggers = actuator_.highTriggers();
     res.stats = registry_.snapshot().diff(before);
 
     if (capture) {
@@ -277,7 +273,7 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
 {
     // Replay is only defined for open-loop configs: a controller would
     // need the real core to actuate, which the trace has elided.
-    VGUARD_CHECK(!controller_);
+    VGUARD_CHECK(!sensor_);
     VGUARD_CHECK(blockCycles > 0);
     VGUARD_CHECK(trace.mapping ||
                  trace.amps.size() == trace.activity.size());

@@ -11,18 +11,20 @@
  * Runs without a controller (open loop, no actuation feedback) take
  * one batched block kernel: the PDN steps a block of amps through
  * PdnSim::stepMany (or the convolver), then the per-cycle bookkeeping
- * sweeps the block from packed fingerprint counts. Two paths feed it:
+ * sweeps the block from per-cycle fingerprint counts (obs::FpCounts).
+ * Two paths feed it:
  *
  *  - run() batches open-loop runs: activity vectors are gathered in
- *    blocks, converted to amps by WattchModel::currentBlock and packed
- *    (packActivity), then handed to the kernel. Optionally captures
- *    the current/activity trace for the cache (core/trace_cache.hpp).
+ *    blocks, converted to amps by WattchModel::currentBlock and to
+ *    counts by obs::fpChannelCounts, then handed to the kernel.
+ *    Optionally captures the current/activity trace for the cache
+ *    (core/trace_cache.hpp).
  *  - runReplay() skips the core and power model entirely and hands
  *    the kernel slices of a captured trace; front-end stats are
  *    spliced in from the capture.
  *
  * Replay therefore matches capture by construction: both run the same
- * kernel over the same amps and packed counts.
+ * kernel over the same amps and counts.
  */
 
 #ifndef VGUARD_CORE_VOLTAGE_SIM_HPP
@@ -31,7 +33,8 @@
 #include <memory>
 #include <optional>
 
-#include "core/controller.hpp"
+#include "core/actuator.hpp"
+#include "core/sensor.hpp"
 #include "core/trace_cache.hpp"
 #include "cpu/core.hpp"
 #include "obs/events.hpp"
@@ -156,11 +159,6 @@ class VoltageSim
     const power::WattchModel &powerModel() const { return power_; }
     const VoltageSimConfig &config() const { return cfg_; }
 
-    /** The hierarchical stats registry of this sim's components. */
-    const obs::Registry &registry() const { return registry_; }
-    /** Current cumulative values of every registered stat. */
-    obs::Snapshot statsSnapshot() const { return registry_.snapshot(); }
-
   private:
     /** Per-run energy accumulator shared by the three loop bodies. */
     struct RunAccum
@@ -186,16 +184,15 @@ class VoltageSim
     /**
      * The open-loop block kernel shared by runOpenLoop and runReplay:
      * step the PDN over @p n cycles of @p amps (state space or
-     * convolver), then account each cycle from its packed counts.
+     * convolver), then account each cycle from its counts.
      */
-    void runBlock(const double *amps, const PackedActivity *activity,
+    void runBlock(const double *amps, const obs::FpCounts *activity,
                   size_t n,
                   const obs::EmergencyTracker::ControlState &ctrl,
                   VoltageSimResult &res, RunAccum &acc);
     /** Per-cycle bookkeeping shared by every loop body. */
     void accountCycle(uint64_t cycle, double amps, double volts,
-                      const std::array<uint32_t, obs::kNumFpChannels>
-                          &counts,
+                      const obs::FpCounts &counts,
                       const obs::EmergencyTracker::ControlState &ctrl,
                       VoltageSimResult &res, RunAccum &acc);
 
@@ -207,7 +204,15 @@ class VoltageSim
         naive reference Convolver to fp rounding at O(log taps)
         amortised per-cycle cost. */
     std::unique_ptr<pdn::PartitionedConvolver> conv_;
-    std::optional<ThresholdController> controller_;
+    // The threshold controller (paper Section 4.1, Fig. 11), engaged
+    // when cfg.sensor is set: each cycle the sensor classifies the die
+    // voltage and the actuator gates or phantom-fires the core from the
+    // next cycle (one cycle of actuation latency on top of the sensor
+    // delay — the threshold solver models the same loop).
+    std::optional<ThresholdSensor> sensor_;
+    Actuator actuator_;
+    /** Last level the control logic acted on. */
+    VoltageLevel lastLevel_ = VoltageLevel::Normal;
     uint64_t cycle_ = 0;
     double vNominal_;
 
@@ -222,7 +227,7 @@ class VoltageSim
     /** Block scratch for the batched pipelines (sized once per run). */
     std::vector<cpu::ActivityVector> avBuf_;
     std::vector<double> ampsBuf_;
-    std::vector<PackedActivity> packedBuf_;
+    std::vector<obs::FpCounts> countsBuf_;
     std::vector<double> voltsBuf_;
 
     // Cumulative (whole-sim-lifetime) counters bound into registry_;

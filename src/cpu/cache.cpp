@@ -85,11 +85,8 @@ MemHierarchy::l2Fill(uint64_t addr, ActivityVector &av)
     unsigned lat = l2_.latency();
     if (!res.hit) {
         ++av.l2Misses;
-        ++memAccesses_;
         lat += memLatency_;
     }
-    if (res.evictedDirty)
-        ++memAccesses_; // L2 dirty victim drains to memory
     return lat;
 }
 
@@ -121,13 +118,8 @@ MemHierarchy::dataAccess(uint64_t addr, bool write, ActivityVector &av)
         // Buffered writeback: an L2 write access is performed (and
         // counted for power) but adds no latency to this access.
         ++av.l2Accesses;
-        const auto wb = l2_.access(res.evictedAddr, true);
-        if (!wb.hit) {
+        if (!l2_.access(res.evictedAddr, true).hit)
             ++av.l2Misses;
-            ++memAccesses_;
-        }
-        if (wb.evictedDirty)
-            ++memAccesses_;
     }
     return lat;
 }

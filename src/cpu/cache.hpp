@@ -102,7 +102,6 @@ class MemHierarchy
     const Cache &il1() const { return il1_; }
     const Cache &dl1() const { return dl1_; }
     const Cache &l2() const { return l2_; }
-    uint64_t memAccesses() const { return memAccesses_; }
 
   private:
     unsigned l2Fill(uint64_t addr, ActivityVector &av);
@@ -111,7 +110,6 @@ class MemHierarchy
     Cache dl1_;
     Cache l2_;
     unsigned memLatency_;
-    uint64_t memAccesses_ = 0;
 };
 
 } // namespace vguard::cpu

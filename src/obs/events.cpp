@@ -25,24 +25,28 @@ fpChannelName(size_t channel)
     return kChannelNames[channel];
 }
 
-std::array<uint32_t, kNumFpChannels>
+FpCounts
 fpChannelCounts(const cpu::ActivityVector &av)
 {
-    std::array<uint32_t, kNumFpChannels> c{};
-    c[size_t(FpChannel::Fetch)] = av.fetched;
-    c[size_t(FpChannel::Icache)] = av.icacheAccesses;
-    c[size_t(FpChannel::Bpred)] = av.bpredLookups;
-    c[size_t(FpChannel::Dispatch)] = av.dispatched;
-    c[size_t(FpChannel::IntAlu)] = av.issuedIntAlu;
-    c[size_t(FpChannel::IntMult)] = av.issuedIntMult;
-    c[size_t(FpChannel::IntDiv)] = av.issuedIntDiv;
-    c[size_t(FpChannel::FpAdd)] = av.issuedFpAdd;
-    c[size_t(FpChannel::FpMult)] = av.issuedFpMult;
-    c[size_t(FpChannel::FpDiv)] = av.issuedFpDiv;
-    c[size_t(FpChannel::Dl1)] = av.dcacheAccesses;
-    c[size_t(FpChannel::L2)] = av.l2Accesses;
-    c[size_t(FpChannel::RegFile)] = av.regReads + av.regWrites;
-    c[size_t(FpChannel::Commit)] = av.committed;
+    FpCounts c{};
+    auto put = [&c](FpChannel ch, uint32_t n) {
+        VGUARD_CHECK(n <= 0xffffu);
+        c[size_t(ch)] = static_cast<uint16_t>(n);
+    };
+    put(FpChannel::Fetch, av.fetched);
+    put(FpChannel::Icache, av.icacheAccesses);
+    put(FpChannel::Bpred, av.bpredLookups);
+    put(FpChannel::Dispatch, av.dispatched);
+    put(FpChannel::IntAlu, av.issuedIntAlu);
+    put(FpChannel::IntMult, av.issuedIntMult);
+    put(FpChannel::IntDiv, av.issuedIntDiv);
+    put(FpChannel::FpAdd, av.issuedFpAdd);
+    put(FpChannel::FpMult, av.issuedFpMult);
+    put(FpChannel::FpDiv, av.issuedFpDiv);
+    put(FpChannel::Dl1, av.dcacheAccesses);
+    put(FpChannel::L2, av.l2Accesses);
+    put(FpChannel::RegFile, av.regReads + av.regWrites);
+    put(FpChannel::Commit, av.committed);
     return c;
 }
 
@@ -56,9 +60,9 @@ ActivityWindow::ActivityWindow(size_t window)
 }
 
 void
-ActivityWindow::record(const std::array<uint32_t, kNumFpChannels> &counts)
+ActivityWindow::record(const FpCounts &counts)
 {
-    std::array<uint32_t, kNumFpChannels> &slot = ring_[head_];
+    FpCounts &slot = ring_[head_];
     if (seen_ >= ring_.size()) {
         // Evict the oldest cycle from the running sums.
         for (size_t i = 0; i < kNumFpChannels; ++i)
@@ -169,8 +173,7 @@ EmergencyTracker::EmergencyTracker(double vLoBound, double vHiBound,
 }
 
 void
-EmergencyTracker::step(uint64_t cycle, double v,
-                       const std::array<uint32_t, kNumFpChannels> &counts,
+EmergencyTracker::step(uint64_t cycle, double v, const FpCounts &counts,
                        const ControlState &ctrl)
 {
     // The window includes the crossing cycle itself: record first so

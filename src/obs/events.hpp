@@ -57,9 +57,17 @@ constexpr size_t kNumFpChannels = 14;
 /** Snake_case channel name (used as the JSONL fingerprint key). */
 const char *fpChannelName(size_t channel);
 
-/** Extract one cycle's per-channel counts from an ActivityVector. */
-std::array<uint32_t, kNumFpChannels>
-fpChannelCounts(const cpu::ActivityVector &av);
+/**
+ * One cycle's per-channel counts: the one per-cycle fingerprint record,
+ * from capture through the trace cache and the `.vgt` store to the
+ * event log. uint16 is lossless: every channel is bounded by a machine
+ * width (the largest is regfile reads+writes <= 3*issueWidth).
+ */
+using FpCounts = std::array<uint16_t, kNumFpChannels>;
+
+/** Extract one cycle's per-channel counts from an ActivityVector;
+    checks that every channel fits uint16. */
+FpCounts fpChannelCounts(const cpu::ActivityVector &av);
 
 /**
  * Sliding-window accumulator of per-channel activity over the last N
@@ -71,15 +79,7 @@ class ActivityWindow
     explicit ActivityWindow(size_t window);
 
     /** Record one cycle of activity. */
-    void
-    record(const cpu::ActivityVector &av)
-    {
-        record(fpChannelCounts(av));
-    }
-
-    /** Record one cycle from pre-extracted channel counts (used by
-        trace replay, where no ActivityVector exists any more). */
-    void record(const std::array<uint32_t, kNumFpChannels> &counts);
+    void record(const FpCounts &counts);
 
     /** Per-channel sums over the last min(window, seen) cycles. */
     const std::array<uint64_t, kNumFpChannels> &sums() const
@@ -95,7 +95,7 @@ class ActivityWindow
     void clear();
 
   private:
-    std::vector<std::array<uint32_t, kNumFpChannels>> ring_;
+    std::vector<FpCounts> ring_;
     size_t head_ = 0;
     uint64_t seen_ = 0;
     std::array<uint64_t, kNumFpChannels> sums_{};
@@ -145,7 +145,6 @@ class EventLog
     uint64_t dropped() const { return dropped_; }
     /** Total episodes seen (stored + dropped). */
     uint64_t total() const { return events_.size() + dropped_; }
-    size_t capacity() const { return capacity_; }
 
     /** All stored events as JSONL text. */
     std::string jsonl() const;
@@ -186,17 +185,7 @@ class EmergencyTracker
                      size_t fingerprintWindow, size_t maxEvents);
 
     /** Feed one simulated cycle. */
-    void
-    step(uint64_t cycle, double v, const cpu::ActivityVector &av,
-         const ControlState &ctrl)
-    {
-        step(cycle, v, fpChannelCounts(av), ctrl);
-    }
-
-    /** Feed one simulated cycle from pre-extracted channel counts
-        (trace replay; identical episode/fingerprint behaviour). */
-    void step(uint64_t cycle, double v,
-              const std::array<uint32_t, kNumFpChannels> &counts,
+    void step(uint64_t cycle, double v, const FpCounts &counts,
               const ControlState &ctrl);
 
     /** Close any episode still open at end of run. */

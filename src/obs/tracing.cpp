@@ -108,91 +108,24 @@ Tracer::threadBuf()
 }
 
 TraceEvent *
-Tracer::slot(ThreadBuf *&buf)
-{
-    buf = threadBuf();
-    if (buf->count >= buf->events.size())
-        return nullptr;
-    return &buf->events[buf->count++];
-}
-
-TraceEvent *
-Tracer::beginSpan(uint32_t name, TraceClass cls, bool detached)
+Tracer::record(TraceEvent::Type type, TraceClass cls, uint32_t name,
+               bool detached)
 {
     if (!enabled())
         return nullptr;
-    ThreadBuf *buf;
-    TraceEvent *ev = slot(buf);
-    if (!ev) {
-        ++(cls == TraceClass::Det ? buf->droppedDet
-                                  : buf->droppedWall);
+    ThreadBuf *buf = threadBuf();
+    if (buf->count >= buf->events.size()) {
+        ++(cls == TraceClass::Det ? buf->droppedDet : buf->droppedWall);
         return nullptr;
     }
+    TraceEvent *ev = &buf->events[buf->count++];
     *ev = TraceEvent{};
-    ev->type = TraceEvent::Type::Begin;
+    ev->type = type;
     ev->cls = cls;
     ev->detached = detached;
     ev->name = name;
     ev->ts = nowNs() - t0_;
     return ev;
-}
-
-void
-Tracer::endSpan(TraceClass cls)
-{
-    if (!enabled())
-        return;
-    ThreadBuf *buf;
-    TraceEvent *ev = slot(buf);
-    if (!ev) {
-        ++(cls == TraceClass::Det ? buf->droppedDet
-                                  : buf->droppedWall);
-        return;
-    }
-    *ev = TraceEvent{};
-    ev->type = TraceEvent::Type::End;
-    ev->cls = cls;
-    ev->ts = nowNs() - t0_;
-}
-
-TraceEvent *
-Tracer::instant(uint32_t name, TraceClass cls, bool detached)
-{
-    if (!enabled())
-        return nullptr;
-    ThreadBuf *buf;
-    TraceEvent *ev = slot(buf);
-    if (!ev) {
-        ++(cls == TraceClass::Det ? buf->droppedDet
-                                  : buf->droppedWall);
-        return nullptr;
-    }
-    *ev = TraceEvent{};
-    ev->type = TraceEvent::Type::Instant;
-    ev->cls = cls;
-    ev->detached = detached;
-    ev->name = name;
-    ev->ts = nowNs() - t0_;
-    return ev;
-}
-
-void
-Tracer::counter(uint32_t name, double value)
-{
-    if (!enabled())
-        return;
-    ThreadBuf *buf;
-    TraceEvent *ev = slot(buf);
-    if (!ev) {
-        ++buf->droppedWall;
-        return;
-    }
-    *ev = TraceEvent{};
-    ev->type = TraceEvent::Type::Counter;
-    ev->cls = TraceClass::Wall;
-    ev->name = name;
-    ev->ts = nowNs() - t0_;
-    ev->value = value;
 }
 
 Tracer::Stats
@@ -230,38 +163,27 @@ appendArg(JsonWriter &w, const std::vector<std::string> &names,
 }
 
 /**
- * Arg emission order: sorted by key name. Insertion sort over at most
- * kMaxTraceArgs indices (std::sort's insertion threshold trips
- * -Warray-bounds on arrays this small).
+ * Args object with keys emitted in sorted-by-name order. Insertion
+ * sort over at most kMaxTraceArgs indices (std::sort's insertion
+ * threshold trips -Warray-bounds on arrays this small).
  */
 void
-sortArgOrder(std::array<uint8_t, kMaxTraceArgs> &order, uint8_t n,
-             const std::vector<std::string> &names, const TraceArg *args)
+appendArgsSorted(JsonWriter &w, const std::vector<std::string> &names,
+                 uint8_t nargs, const TraceArg *args)
 {
-    for (uint8_t i = 0; i < n; ++i)
-        order[i] = i;
-    for (uint8_t i = 1; i < n; ++i) {
-        const uint8_t v = order[i];
+    std::array<uint8_t, kMaxTraceArgs> order{};
+    for (uint8_t i = 0; i < nargs; ++i) {
         uint8_t j = i;
         while (j > 0 &&
-               names[args[v].key] < names[args[order[j - 1]].key]) {
+               names[args[i].key] < names[args[order[j - 1]].key]) {
             order[j] = order[j - 1];
             --j;
         }
-        order[j] = v;
+        order[j] = i;
     }
-}
-
-/** Args object with keys emitted in sorted-by-name order. */
-void
-appendArgsSorted(JsonWriter &w, const std::vector<std::string> &names,
-                 const TraceEvent &ev)
-{
-    std::array<uint8_t, kMaxTraceArgs> order{};
-    sortArgOrder(order, ev.nargs, names, ev.args);
     w.key("args").beginObject();
-    for (uint8_t i = 0; i < ev.nargs; ++i)
-        appendArg(w, names, ev.args[order[i]]);
+    for (uint8_t i = 0; i < nargs; ++i)
+        appendArg(w, names, args[order[i]]);
     w.endObject();
 }
 
@@ -291,13 +213,18 @@ Tracer::chromeJson() const
     for (size_t b = 0; b < buffers_.size(); ++b) {
         const ThreadBuf &buf = *buffers_[b];
         const uint64_t tid = b + 1;
-        {
-            JsonWriter w;
+        // Every object opens with the same ph/name/pid/tid prefix.
+        auto begin = [&](JsonWriter &w, const char *ph,
+                         std::string_view name) {
             w.beginObject();
-            w.field("ph", "M");
-            w.field("name", "thread_name");
+            w.field("ph", ph);
+            w.field("name", name);
             w.field("pid", uint64_t{1});
             w.field("tid", tid);
+        };
+        {
+            JsonWriter w;
+            begin(w, "M", "thread_name");
             w.key("args").beginObject();
             w.field("name", "trace-thread-" + std::to_string(tid));
             w.endObject();
@@ -310,17 +237,12 @@ Tracer::chromeJson() const
         // closed at the last seen timestamp.
         std::vector<size_t> stack;
         uint64_t lastTs = 0;
-        auto emitComplete = [&](const TraceEvent &begin, uint64_t end) {
+        auto emitComplete = [&](const TraceEvent &ev, uint64_t end) {
             JsonWriter w;
-            w.beginObject();
-            w.field("ph", "X");
-            w.field("name", names_[begin.name]);
-            w.field("pid", uint64_t{1});
-            w.field("tid", tid);
-            w.field("ts", toMicros(begin.ts));
-            w.field("dur",
-                    toMicros(end >= begin.ts ? end - begin.ts : 0));
-            appendArgsSorted(w, names_, begin);
+            begin(w, "X", names_[ev.name]);
+            w.field("ts", toMicros(ev.ts));
+            w.field("dur", toMicros(end >= ev.ts ? end - ev.ts : 0));
+            appendArgsSorted(w, names_, ev.nargs, ev.args);
             w.endObject();
             emit(w);
         };
@@ -339,25 +261,17 @@ Tracer::chromeJson() const
                 break;
             case TraceEvent::Type::Instant: {
                 JsonWriter w;
-                w.beginObject();
-                w.field("ph", "i");
-                w.field("name", names_[ev.name]);
-                w.field("pid", uint64_t{1});
-                w.field("tid", tid);
+                begin(w, "i", names_[ev.name]);
                 w.field("ts", toMicros(ev.ts));
                 w.field("s", "t");
-                appendArgsSorted(w, names_, ev);
+                appendArgsSorted(w, names_, ev.nargs, ev.args);
                 w.endObject();
                 emit(w);
                 break;
             }
             case TraceEvent::Type::Counter: {
                 JsonWriter w;
-                w.beginObject();
-                w.field("ph", "C");
-                w.field("name", names_[ev.name]);
-                w.field("pid", uint64_t{1});
-                w.field("tid", tid);
+                begin(w, "C", names_[ev.name]);
                 w.field("ts", toMicros(ev.ts));
                 w.key("args").beginObject();
                 w.field("value", ev.value);
@@ -407,14 +321,8 @@ serializeCanon(const std::vector<CanonNode> &pool, size_t idx,
     w.field("name", names[n.name]);
     if (n.instant)
         w.field("instant", true);
-    if (n.nargs > 0) {
-        std::array<uint8_t, kMaxTraceArgs> order{};
-        sortArgOrder(order, n.nargs, names, n.args);
-        w.key("args").beginObject();
-        for (uint8_t i = 0; i < n.nargs; ++i)
-            appendArg(w, names, n.args[order[i]]);
-        w.endObject();
-    }
+    if (n.nargs > 0)
+        appendArgsSorted(w, names, n.nargs, n.args);
     if (!n.children.empty()) {
         w.key("children").beginArray();
         for (size_t c : n.children)
@@ -447,32 +355,24 @@ Tracer::canonicalJsonl() const
             if (ev.cls != TraceClass::Det)
                 continue;  // Wall events never shape the canon
             switch (ev.type) {
-            case TraceEvent::Type::Begin: {
+            case TraceEvent::Type::Begin:
+            case TraceEvent::Type::Instant: {
                 CanonNode n;
                 n.name = ev.name;
+                n.instant = ev.type == TraceEvent::Type::Instant;
                 n.nargs = ev.nargs;
                 std::copy(ev.args, ev.args + ev.nargs, n.args);
                 const size_t idx = pool.size();
                 pool.push_back(std::move(n));
                 place(idx, ev.detached);
-                stack.push_back(idx);
+                if (ev.type == TraceEvent::Type::Begin)
+                    stack.push_back(idx);
                 break;
             }
             case TraceEvent::Type::End:
                 if (!stack.empty())
                     stack.pop_back();
                 break;
-            case TraceEvent::Type::Instant: {
-                CanonNode n;
-                n.name = ev.name;
-                n.instant = true;
-                n.nargs = ev.nargs;
-                std::copy(ev.args, ev.args + ev.nargs, n.args);
-                const size_t idx = pool.size();
-                pool.push_back(std::move(n));
-                place(idx, ev.detached);
-                break;
-            }
             case TraceEvent::Type::Counter:
                 break;
             }
@@ -499,117 +399,64 @@ Tracer::canonicalJsonl() const
 
 // ------------------------------------------------------------- spans
 
-TraceSpan::TraceSpan(const char *name, TraceClass cls, bool detached)
-    : cls_(cls)
+TraceRecord::TraceRecord(TraceEvent::Type type, const char *name,
+                         TraceClass cls, bool detached)
 {
     Tracer &t = Tracer::instance();
-    if (!t.enabled())
-        return;
-    ev_ = t.beginSpan(t.intern(name), cls, detached);
-    open_ = ev_ != nullptr;
+    if (t.enabled())
+        ev_ = t.record(type, cls, t.intern(name), detached);
 }
 
-TraceSpan::TraceSpan(uint32_t nameId, TraceClass cls, bool detached)
-    : cls_(cls)
+TraceArg *
+TraceRecord::nextArg(const char *key, TraceArg::Kind kind)
 {
-    Tracer &t = Tracer::instance();
-    if (!t.enabled())
-        return;
-    ev_ = t.beginSpan(nameId, cls, detached);
-    open_ = ev_ != nullptr;
+    if (!ev_ || ev_->nargs >= kMaxTraceArgs)
+        return nullptr;
+    TraceArg &a = ev_->args[ev_->nargs++];
+    a.key = Tracer::instance().intern(key);
+    a.kind = kind;
+    return &a;
+}
+
+TraceRecord &
+TraceRecord::arg(const char *key, uint64_t v)
+{
+    if (TraceArg *a = nextArg(key, TraceArg::Kind::U64))
+        a->v.u = v;
+    return *this;
+}
+
+TraceRecord &
+TraceRecord::arg(const char *key, double v)
+{
+    if (TraceArg *a = nextArg(key, TraceArg::Kind::F64))
+        a->v.f = v;
+    return *this;
+}
+
+TraceRecord &
+TraceRecord::arg(const char *key, std::string_view v)
+{
+    if (TraceArg *a = nextArg(key, TraceArg::Kind::Str))
+        a->v.s = Tracer::instance().intern(v);
+    return *this;
+}
+
+TraceSpan::TraceSpan(const char *name, TraceClass cls, bool detached)
+    : TraceRecord(TraceEvent::Type::Begin, name, cls, detached), cls_(cls)
+{
 }
 
 TraceSpan::~TraceSpan()
 {
-    if (open_ && ev_)
-        Tracer::instance().endSpan(cls_);
-}
-
-namespace {
-
-void
-attachArg(TraceEvent *ev, const char *key, TraceArg::Kind kind,
-          uint64_t u, double f, uint32_t s)
-{
-    if (!ev || ev->nargs >= kMaxTraceArgs)
-        return;
-    TraceArg &a = ev->args[ev->nargs++];
-    a.key = Tracer::instance().intern(key);
-    a.kind = kind;
-    switch (kind) {
-    case TraceArg::Kind::U64:
-        a.v.u = u;
-        break;
-    case TraceArg::Kind::F64:
-        a.v.f = f;
-        break;
-    case TraceArg::Kind::Str:
-        a.v.s = s;
-        break;
-    }
-}
-
-} // namespace
-
-TraceSpan &
-TraceSpan::arg(const char *key, uint64_t v)
-{
-    attachArg(ev_, key, TraceArg::Kind::U64, v, 0.0, 0);
-    return *this;
-}
-
-TraceSpan &
-TraceSpan::arg(const char *key, double v)
-{
-    attachArg(ev_, key, TraceArg::Kind::F64, 0, v, 0);
-    return *this;
-}
-
-TraceSpan &
-TraceSpan::arg(const char *key, const char *v)
-{
-    attachArg(ev_, key, TraceArg::Kind::Str, 0, 0.0,
-              Tracer::instance().intern(v));
-    return *this;
-}
-
-TraceSpan &
-TraceSpan::arg(const char *key, const std::string &v)
-{
-    attachArg(ev_, key, TraceArg::Kind::Str, 0, 0.0,
-              Tracer::instance().intern(v));
-    return *this;
+    if (ev_)
+        Tracer::instance().record(TraceEvent::Type::End, cls_);
 }
 
 TraceInstant::TraceInstant(const char *name, TraceClass cls,
                            bool detached)
+    : TraceRecord(TraceEvent::Type::Instant, name, cls, detached)
 {
-    Tracer &t = Tracer::instance();
-    if (!t.enabled())
-        return;
-    ev_ = t.instant(t.intern(name), cls, detached);
-}
-
-TraceInstant &
-TraceInstant::arg(const char *key, uint64_t v)
-{
-    attachArg(ev_, key, TraceArg::Kind::U64, v, 0.0, 0);
-    return *this;
-}
-
-TraceInstant &
-TraceInstant::arg(const char *key, double v)
-{
-    attachArg(ev_, key, TraceArg::Kind::F64, 0, v, 0);
-    return *this;
-}
-
-TraceInstant &
-TraceInstant::arg(const char *key, const char *v)
-{
-    attachArg(ev_, key, TraceArg::Kind::Str, 0, 0.0,
-              Tracer::instance().intern(v));
-    return *this;
 }
 
 void
@@ -618,7 +465,9 @@ traceCounter(const char *track, double value)
     Tracer &t = Tracer::instance();
     if (!t.enabled())
         return;
-    t.counter(t.intern(track), value);
+    if (TraceEvent *ev = t.record(TraceEvent::Type::Counter,
+                                  TraceClass::Wall, t.intern(track)))
+        ev->value = value;
 }
 
 } // namespace vguard::obs

@@ -149,26 +149,18 @@ class Tracer
      */
     uint32_t intern(std::string_view name);
 
-    // ------------------------------------------------- record sites
-    // All return nullptr / no-op when disabled or the buffer is full.
-
-    /** Record a span begin; args may be appended to the returned
-        event (same thread, before the matching end). */
-    TraceEvent *beginSpan(uint32_t name, TraceClass cls, bool detached);
-
-    /** Record the end of the innermost open span of this thread. */
-    void endSpan(TraceClass cls);
-
-    /** Record a zero-duration event. */
-    TraceEvent *instant(uint32_t name, TraceClass cls,
-                        bool detached = false);
-
     /**
-     * Record one sample on a counter track. Counter tracks are always
-     * TraceClass::Wall: which thread samples what value when is
-     * scheduling-dependent by nature.
+     * The one record site: append a @p type event to this thread's
+     * buffer, stamped now. Returns the slot, to which the caller may
+     * attach args (Begin/Instant) or a value (Counter) on the same
+     * thread, or nullptr when disabled or when the buffer is full — a
+     * full buffer counts the drop against @p cls. End records close
+     * the innermost open span of this thread and carry no name.
+     * Counter tracks are always TraceClass::Wall: which thread samples
+     * what value when is scheduling-dependent by nature.
      */
-    void counter(uint32_t name, double value);
+    TraceEvent *record(TraceEvent::Type type, TraceClass cls,
+                       uint32_t name = 0, bool detached = false);
 
     // ------------------------------------------------------ exports
 
@@ -209,7 +201,6 @@ class Tracer
     };
 
     ThreadBuf *threadBuf();
-    TraceEvent *slot(ThreadBuf *&buf);
 
     mutable std::mutex m_;  ///< guards buffers_, names_, epoch bump
     std::vector<std::unique_ptr<ThreadBuf>> buffers_;
@@ -222,50 +213,57 @@ class Tracer
 };
 
 /**
- * RAII span. Constructed with a name (interned per call) or a
- * pre-interned id; `cls` picks the determinism class and `detached`
- * lifts the span to a canonical root (for work triggered by whichever
- * thread got there first — cache captures, one-per-key solves,
- * campaign runs). arg() calls attach up to kMaxTraceArgs key/values
- * and must happen before destruction, on the constructing thread.
+ * Arg builder shared by spans and instants: arg() calls attach up to
+ * kMaxTraceArgs key/values to the recorded event and must happen on
+ * the recording thread (for a span, before it ends). String values
+ * are interned. A no-op while nothing was recorded.
  */
-class TraceSpan
+class TraceRecord
 {
   public:
-    TraceSpan(const char *name, TraceClass cls = TraceClass::Det,
-              bool detached = false);
-    TraceSpan(uint32_t nameId, TraceClass cls = TraceClass::Det,
-              bool detached = false);
+    TraceRecord &arg(const char *key, uint64_t v);
+    TraceRecord &arg(const char *key, double v);
+    TraceRecord &arg(const char *key, std::string_view v);
+
+  protected:
+    /** Record a @p type event named @p name (interned only while the
+        tracer is enabled). */
+    TraceRecord(TraceEvent::Type type, const char *name, TraceClass cls,
+                bool detached);
+
+    TraceEvent *ev_ = nullptr;  ///< the record; null when inactive
+
+  private:
+    /** The next free arg slot keyed @p key, or null. */
+    TraceArg *nextArg(const char *key, TraceArg::Kind kind);
+};
+
+/**
+ * RAII span; `cls` picks the determinism class and `detached` lifts
+ * the span to a canonical root (for work triggered by whichever thread
+ * got there first — cache captures, one-per-key solves, campaign runs).
+ */
+class TraceSpan : public TraceRecord
+{
+  public:
+    explicit TraceSpan(const char *name, TraceClass cls = TraceClass::Det,
+                       bool detached = false);
     ~TraceSpan();
 
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
-    TraceSpan &arg(const char *key, uint64_t v);
-    TraceSpan &arg(const char *key, double v);
-    TraceSpan &arg(const char *key, const char *v);
-    TraceSpan &arg(const char *key, const std::string &v);
-
   private:
-    TraceEvent *ev_ = nullptr;  ///< begin record; null when inactive
-    TraceClass cls_ = TraceClass::Det;
-    bool open_ = false;
+    TraceClass cls_;
 };
 
-/** RAII-free instant with the same arg interface as TraceSpan. */
-class TraceInstant
+/** A zero-duration event with the same args as TraceSpan. */
+class TraceInstant : public TraceRecord
 {
   public:
     explicit TraceInstant(const char *name,
                           TraceClass cls = TraceClass::Wall,
                           bool detached = false);
-
-    TraceInstant &arg(const char *key, uint64_t v);
-    TraceInstant &arg(const char *key, double v);
-    TraceInstant &arg(const char *key, const char *v);
-
-  private:
-    TraceEvent *ev_ = nullptr;
 };
 
 /** Sample a counter track (no-op while the tracer is disabled). */

@@ -65,7 +65,6 @@ class PartitionedConvolver
     void reset();
 
     size_t taps() const { return taps_; }
-    size_t blockSize() const { return block_; }
     size_t partitions() const { return spectra_.size(); }
     double vdd() const { return vdd_; }
 

@@ -67,9 +67,6 @@ class PdnSim
 
     const PackageModel &model() const { return model_; }
 
-    /** Cycles stepped since construction. */
-    uint64_t steps() const { return steps_; }
-
     /**
      * Bind PDN telemetry into @p r: `<prefix>.steps`, the regulator
      * set point and the trim current. Must outlive @p r's snapshots.
@@ -77,9 +74,8 @@ class PdnSim
     void registerStats(obs::Registry &r,
                        const std::string &prefix = "pdn") const;
 
-    /** Raw state access for checkpoint/restore in solver searches. */
+    /** Raw state vector (the batched backend seeds its lanes from it). */
     const std::vector<double> &state() const { return x_; }
-    void setState(const std::vector<double> &x) { x_ = x; }
 
   private:
     PackageModel model_;

@@ -148,16 +148,6 @@ class WattchModel
     }
 
     /**
-     * Accumulated watt-cycles per unit (sum of every power() call's
-     * breakdown); multiply by the clock period for joules.
-     */
-    const std::array<double, kNumUnits> &
-    wattCycles() const
-    {
-        return wattCycles_;
-    }
-
-    /**
      * Bind per-unit energy (and total) into @p r as
      * `<prefix>.<unit>.energy_j` derived gauges (MergeRule::Sum).
      * @p dtSeconds converts accumulated watt-cycles to joules.

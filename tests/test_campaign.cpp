@@ -138,6 +138,11 @@ TEST(CampaignCli, NumbersAreDecimalOnly)
     EXPECT_EXIT(parseCampaignCli(2, const_cast<char **>(hexSeed)),
                 ::testing::ExitedWithCode(1),
                 "--seed: expected a number, got '0X1f'");
+    // Regression: a count above UINT_MAX wrapped to 1 thread.
+    const char *wide[] = {"prog", "--threads", "4294967297"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(wide)),
+                ::testing::ExitedWithCode(1),
+                "--threads: value out of range: '4294967297'");
 }
 
 TEST(CampaignCli, RejectsUnknownFlags)

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "core/actuator.hpp"
-#include "core/controller.hpp"
 #include "core/experiments.hpp"
 #include "core/sensor.hpp"
 #include "core/threshold_solver.hpp"

@@ -204,13 +204,13 @@ TEST(Snapshot, JsonNestsDottedGroups)
 
 // -------------------------------------------------------------- events
 
-cpu::ActivityVector
+FpCounts
 activity(uint32_t alu, uint32_t commit)
 {
     cpu::ActivityVector av{};
     av.issuedIntAlu = alu;
     av.committed = commit;
-    return av;
+    return fpChannelCounts(av);
 }
 
 TEST(ActivityWindow, SlidingSumsEvictOldCycles)

@@ -74,7 +74,7 @@ expectSameTrace(const CapturedTrace &a, const CapturedTrace &b)
     EXPECT_EQ(0, std::memcmp(a.ampsData(), b.ampsData(),
                              a.cycles() * sizeof(double)));
     EXPECT_EQ(0, std::memcmp(a.activityData(), b.activityData(),
-                             a.cycles() * sizeof(PackedActivity)));
+                             a.cycles() * sizeof(obs::FpCounts)));
     EXPECT_EQ(a.committed, b.committed);
     EXPECT_EQ(a.halted, b.halted);
     EXPECT_EQ(encodeSnapshot(a.frontEnd), encodeSnapshot(b.frontEnd));
@@ -336,7 +336,7 @@ handRolledVirus(double &measuredPeak)
         if (core.now() > total / 2)
             peak = std::max(peak, amps);
         trace.amps.push_back(amps);
-        trace.activity.push_back(packActivity(av));
+        trace.activity.push_back(obs::fpChannelCounts(av));
     }
     trace.committed = core.stats().committed;
     trace.halted = core.halted();
